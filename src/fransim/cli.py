@@ -31,10 +31,8 @@ from .policies import POLICY_NAMES
 from .topology import Catalog, Topology, build_topology
 from .workload import build_schedule
 
-CSV_COLUMNS = (
-    "policy", "n_fues", "d2d", "seed", "avg_hops", "cache_hits",
-    "hits_own", "hits_d2d", "hits_fap", "hits_bbu", "hits_producer",
-    "fronthaul_packets", "total_interests",
+CSV_COLUMNS = tuple(
+    engine.metrics_row("", 0, False, 0, engine.MetricsReport())
 )
 
 EXIT_OK = 0
@@ -133,6 +131,8 @@ def _parse_fues(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     if args.output:
         cfg.output = args.output
@@ -143,6 +143,8 @@ def cmd_sweep(args) -> int:
             f"{cfg.n_faps} access points with one device each"
         )
     policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
+    if not policies:
+        raise ConfigError(f"no policy named in --policies {args.policies!r}")
     for policy in policies:
         if policy not in POLICY_NAMES:
             raise ConfigError(

@@ -45,7 +45,6 @@ class MetricsReport:
         default_factory=lambda: dict.fromkeys(TIER_KEYS, 0)
     )
     fronthaul_packets: int = 0
-    unsolicited_drops: int = 0
 
     @property
     def avg_hops(self) -> float:

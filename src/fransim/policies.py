@@ -1,14 +1,15 @@
-"""Cache replacement policies and per-node request-rate tracking.
+"""Cache replacement policy names, knobs and the rate-refresh rule.
 
-Three replacement schemes are provided.  ``fifo`` and ``lru`` are the
-classic baselines: they always admit new content and evict the oldest
-or least recently used entry.  ``rate-hop`` is selective: each node
-tracks a demand rate per content name, smooths it periodically with a
-weighted average of the current observation window and the previous
-estimate, and only evicts when the incoming content scores higher than
-the weakest cached entry.  An entry's score is its tracked rate times
-the hop distance its data travelled when it was fetched, so content
-that is both popular and expensive to re-fetch is retained.
+Three replacement schemes are provided, all implemented by the engine.
+``fifo`` and ``lru`` are the classic baselines: they always admit new
+content and evict the oldest or least recently used entry.
+``rate-hop`` is selective: each node tracks a demand rate per content
+name, smooths it periodically with a weighted average of the current
+observation window and the previous estimate, and only evicts when the
+incoming content scores higher than the weakest cached entry.  An
+entry's score is its tracked rate times the hop distance its data
+travelled when it was fetched, so content that is both popular and
+expensive to re-fetch is retained.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError
+
+POLICY_NAMES = ("fifo", "lru", "rate-hop")
 
 
 class ScoreRule(Enum):
@@ -53,184 +56,3 @@ def refreshed_rate(
     """
     return (alpha * window_count + beta * old_rate) / (alpha + beta)
 
-
-class RateTable:
-    """Per-node demand estimates: smoothed rates plus the raw counts
-    observed in the current refresh window.
-
-    Names with a zero estimate are dropped so the table only holds
-    content the node has actually seen demand for.
-    """
-
-    __slots__ = ("rates", "window_counts")
-
-    def __init__(self):
-        self.rates: dict[str, float] = {}
-        self.window_counts: dict[str, int] = {}
-
-    def record_request(self, name: str, satisfied_locally: bool) -> None:
-        """Count one request observation unless the node itself already
-        had the content, in which case no demand escapes to be counted."""
-        if not satisfied_locally:
-            wc = self.window_counts
-            wc[name] = wc.get(name, 0) + 1
-
-    def bump(self, name: str) -> None:
-        """Raise the tracked rate by one, on a data arrival."""
-        rates = self.rates
-        rates[name] = rates.get(name, 0.0) + 1.0
-
-    def rate(self, name: str) -> float:
-        return self.rates.get(name, 0.0)
-
-    def refresh(self, alpha: float, beta: float) -> None:
-        """Fold the window counts into the smoothed rates and reset the
-        window.  Applies to every name with either a count or a rate."""
-        rates = self.rates
-        wc = self.window_counts
-        denom = alpha + beta
-        new_rates: dict[str, float] = {}
-        for name in rates.keys() | wc.keys():
-            value = (alpha * wc.get(name, 0) + beta * rates.get(name, 0.0)) / denom
-            if value > 0.0:
-                new_rates[name] = value
-        self.rates = new_rates
-        wc.clear()
-
-
-class Policy:
-    """Hook interface a node drives during simulation.
-
-    The base class is a valid do-nothing policy except that
-    ``select_victim`` must be overridden.  One instance serves exactly
-    one node.
-    """
-
-    name = "none"
-
-    def on_request(self, content: str, satisfied_locally: bool) -> None:
-        """A request for ``content`` was observed at this node."""
-
-    def on_data(self, content: str) -> None:
-        """Data for ``content`` arrived at this node."""
-
-    def on_hit(self, content: str, now: float) -> None:
-        """This node served ``content`` from its own store."""
-
-    def on_insert(self, content: str, now: float) -> None:
-        """``content`` was inserted into this node's store."""
-
-    def on_evict(self, content: str, now: float) -> None:
-        """``content`` was evicted from this node's store."""
-
-    def on_tick(self, now: float) -> None:
-        """A periodic refresh boundary passed."""
-
-    def incoming_rate(self, content: str) -> float:
-        """Tracked demand rate used to value content arriving for
-        insertion; policies without rate state report zero."""
-        return 0.0
-
-    def select_victim(self, entries, incoming) -> str | None:
-        """Choose which cached name to evict for the incoming content.
-
-        ``entries`` maps name -> CsEntry for a full store; ``incoming``
-        is a ``(name, rate, fetch_hops)`` triple.  Returning ``None``
-        rejects the insertion and leaves the store unchanged.
-        """
-        raise NotImplementedError
-
-
-class FifoPolicy(Policy):
-    """Always admit; evict the entry that has been cached longest."""
-
-    name = "fifo"
-
-    def select_victim(self, entries, incoming) -> str | None:
-        return min(entries, key=lambda n: entries[n].inserted_at)
-
-
-class LruPolicy(Policy):
-    """Always admit; evict the least recently used entry."""
-
-    name = "lru"
-
-    def select_victim(self, entries, incoming) -> str | None:
-        return min(entries, key=lambda n: entries[n].last_used_at)
-
-
-class RateHopPolicy(Policy):
-    """Admit selectively by comparing demand-rate scores.
-
-    The weakest entry (lowest score, oldest first on ties) is evicted
-    only when its score is strictly below the incoming content's score;
-    otherwise the incoming content is not cached.
-    """
-
-    name = "rate-hop"
-
-    __slots__ = ("config", "table")
-
-    def __init__(self, config: PolicyConfig):
-        self.config = config
-        self.table = RateTable()
-
-    def on_request(self, content: str, satisfied_locally: bool) -> None:
-        self.table.record_request(content, satisfied_locally)
-
-    def on_data(self, content: str) -> None:
-        self.table.bump(content)
-
-    def on_tick(self, now: float) -> None:
-        self.table.refresh(self.config.alpha, self.config.beta)
-
-    def incoming_rate(self, content: str) -> float:
-        return self.table.rate(content)
-
-    def _score(self, rate: float, fetch_hops: int) -> float:
-        if self.config.score_rule is ScoreRule.RATE_ONLY:
-            return rate
-        return rate * fetch_hops
-
-    def score_of(self, name: str, fetch_hops: int) -> float:
-        return self._score(self.table.rate(name), fetch_hops)
-
-    def select_victim(self, entries, incoming) -> str | None:
-        name_in, rate_in, hops_in = incoming
-        incoming_score = self._score(rate_in, hops_in)
-        rates = self.table.rates
-        rate_only = self.config.score_rule is ScoreRule.RATE_ONLY
-        victim = None
-        victim_key = None
-        for name, entry in entries.items():
-            rate = rates.get(name, 0.0)
-            score = rate if rate_only else rate * entry.fetch_hops
-            key = (score, entry.inserted_at)
-            if victim_key is None or key < victim_key:
-                victim = name
-                victim_key = key
-        if victim_key is not None and victim_key[0] < incoming_score:
-            return victim
-        return None
-
-
-_POLICY_KINDS = {
-    "fifo": FifoPolicy,
-    "lru": LruPolicy,
-    "rate-hop": RateHopPolicy,
-}
-
-POLICY_NAMES = tuple(_POLICY_KINDS)
-
-
-def make_policy(kind: str, config: PolicyConfig) -> Policy:
-    """Create a fresh policy instance for one node."""
-    try:
-        cls = _POLICY_KINDS[kind]
-    except KeyError:
-        raise ConfigError(
-            f"unknown policy {kind!r}; expected one of {sorted(_POLICY_KINDS)}"
-        ) from None
-    if cls is RateHopPolicy:
-        return RateHopPolicy(config)
-    return cls()

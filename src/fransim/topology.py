@@ -71,7 +71,7 @@ class Catalog:
 
 
 class Topology:
-    """A four-tier tree plus the per-access-point D2D groups.
+    """A four-tier tree; an access point's children are its D2D group.
 
     All per-node attributes are lists indexed by NodeId.  The tree is
     immutable after construction.
@@ -100,8 +100,6 @@ class Topology:
 
         self.labels = self._make_labels()
         self.label_to_id = {lab: i for i, lab in enumerate(self.labels)}
-        # One D2D group per access point: all user devices under it.
-        self.d2d_groups = [self._children[a] for a in self.faps()]
         self._validate()
 
     def _make_labels(self) -> list[str]:
@@ -168,12 +166,6 @@ class Topology:
         while self.parent[path[-1]] is not None:
             path.append(self.parent[path[-1]])
         return path
-
-    def group_of(self, fue: NodeId) -> list[NodeId]:
-        """The D2D group (peer user devices) the given device belongs to."""
-        if self.roles[fue] is not NodeRole.FUE:
-            raise ValueError(f"node {fue} is not user equipment")
-        return self._children[self.parent[fue]]
 
 
 def distribute_fues(n_fues: int, n_faps: int) -> list[int]:

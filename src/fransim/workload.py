@@ -51,12 +51,6 @@ def sample_ranks(
     return np.minimum(ranks, catalog_size)
 
 
-def sample_rank(
-    exponent: float, catalog_size: int, rng: np.random.Generator
-) -> int:
-    return int(sample_ranks(exponent, catalog_size, rng, 1)[0])
-
-
 def fue_rng(seed: int, fue: NodeId) -> np.random.Generator:
     """The dedicated random substream for one device."""
     return np.random.default_rng([seed, fue])

@@ -1,6 +1,6 @@
 """Packet-level reference simulator used as a differential oracle.
 
-Drives the per-node state machines in ``fransim.ndn`` with explicit
+Drives the per-node state machines in ``_ndn`` with explicit
 Interest/Data packets, following the same event semantics as the fast
 engine: one interest is processed to completion before the next
 arrival, refresh ticks fire at tau, 2 tau, ... before same-time
@@ -11,10 +11,10 @@ agreement between the two is a real end-to-end check rather than the
 same code run twice.
 """
 
-from fransim import ndn
+import _ndn as ndn
+from _ndn import APP, DataPacket, InterestPacket, make_policy
 from fransim.engine import MetricsReport
-from fransim.ndn import APP, DataPacket, InterestPacket
-from fransim.policies import PolicyConfig, make_policy
+from fransim.policies import PolicyConfig
 from fransim.topology import Catalog, Topology
 
 
@@ -69,6 +69,8 @@ class ReferenceSimulation:
         return sum(node.unsolicited_drops for node in self.nodes.values())
 
     def report(self) -> MetricsReport:
+        # Every data packet this driver sends answers a pending interest.
+        assert self.unsolicited_drops() == 0
         hits = dict(self.hits)
         return MetricsReport(
             total_interests=self.n,
@@ -76,7 +78,6 @@ class ReferenceSimulation:
             in_network_cache_hits=self.n - hits["producer"],
             hits_by_tier=hits,
             fronthaul_packets=self.fronthaul,
-            unsolicited_drops=self.unsolicited_drops(),
         )
 
     # -- event processing -----------------------------------------------
@@ -91,7 +92,7 @@ class ReferenceSimulation:
         seq = self.seq
         self.n += 1
         path = self.topo.upstream_path(fue_id)
-        interest = InterestPacket(name, fue_id, seq)
+        interest = InterestPacket(name)
 
         fue = self.nodes[fue_id]
         kind, _ = fue.handle_interest(interest, APP, now, seq)
@@ -99,7 +100,6 @@ class ReferenceSimulation:
             self.hits["own_cs"] += 1
             return
         assert kind == ndn.FORWARDED
-        interest.hops_traveled += 1
 
         fap = self.nodes[path[1]]
         kind, info = fap.handle_interest(interest, fue_id, now, seq)
@@ -112,12 +112,11 @@ class ReferenceSimulation:
             self.nodes[info].serve_peer(name, seq)
             self.hits["d2d"] += 1
             self.hops += 2
-            data = DataPacket(name, info, hops_from_source=1, via_d2d=True)
+            data = DataPacket(name, hops_from_source=1, via_d2d=True)
             requesters, _ = fue.handle_data(data, now, seq)
             assert requesters == [APP]
             return
         assert kind == ndn.FORWARDED
-        interest.hops_traveled += 1
 
         self.fronthaul += 2
         bbu = self.nodes[path[2]]
@@ -128,7 +127,6 @@ class ReferenceSimulation:
             self._deliver(path, 2, name, now, seq)
             return
         assert kind == ndn.FORWARDED
-        interest.hops_traveled += 1
 
         producer = self.nodes[path[3]]
         kind, _ = producer.handle_interest(interest, path[2], now, seq)
@@ -142,7 +140,7 @@ class ReferenceSimulation:
         for j in range(served_depth - 1, -1, -1):
             hops += 1
             node = self.nodes[path[j]]
-            data = DataPacket(name, path[served_depth], hops_from_source=hops)
+            data = DataPacket(name, hops_from_source=hops)
             requesters, _ = node.handle_data(data, now, seq)
             assert requesters == [APP if j == 0 else path[j - 1]]
 

@@ -47,7 +47,7 @@ def debug_grid():
     )
 
 
-def gmean(rows, metric, policy, n_fues, d2d):
+def seed_mean(rows, metric, policy, n_fues, d2d):
     values = [
         row[metric]
         for row in rows
@@ -65,9 +65,9 @@ def test_criterion_1_cache_hit_trend_and_grid_runtime(paper_grid):
     assert elapsed < 60.0, f"grid took {elapsed:.1f}s"
     for d2d in (False, True):
         for n in (15, 20, 25, 30):
-            rh = gmean(rows, "cache_hits", "rate-hop", n, d2d)
-            fifo = gmean(rows, "cache_hits", "fifo", n, d2d)
-            lru = gmean(rows, "cache_hits", "lru", n, d2d)
+            rh = seed_mean(rows, "cache_hits", "rate-hop", n, d2d)
+            fifo = seed_mean(rows, "cache_hits", "fifo", n, d2d)
+            lru = seed_mean(rows, "cache_hits", "lru", n, d2d)
             assert rh >= fifo, (n, d2d, rh, fifo)
             assert rh >= lru, (n, d2d, rh, lru)
     print(
@@ -80,16 +80,16 @@ def test_criterion_1_cache_hit_trend_and_grid_runtime(paper_grid):
 def test_criterion_2_average_hops_at_full_load(paper_grid):
     rows, _ = paper_grid
     for d2d in (False, True):
-        rh = gmean(rows, "avg_hops", "rate-hop", 30, d2d)
-        fifo = gmean(rows, "avg_hops", "fifo", 30, d2d)
+        rh = seed_mean(rows, "avg_hops", "rate-hop", 30, d2d)
+        fifo = seed_mean(rows, "avg_hops", "fifo", 30, d2d)
         assert rh <= fifo, (d2d, rh, fifo)
     off = (
-        gmean(rows, "avg_hops", "rate-hop", 30, False),
-        gmean(rows, "avg_hops", "fifo", 30, False),
+        seed_mean(rows, "avg_hops", "rate-hop", 30, False),
+        seed_mean(rows, "avg_hops", "fifo", 30, False),
     )
     on = (
-        gmean(rows, "avg_hops", "rate-hop", 30, True),
-        gmean(rows, "avg_hops", "fifo", 30, True),
+        seed_mean(rows, "avg_hops", "rate-hop", 30, True),
+        seed_mean(rows, "avg_hops", "fifo", 30, True),
     )
     print(
         f"PASS criterion 2: rate-hop mean avg_hops <= fifo at 30 devices "
@@ -102,8 +102,8 @@ def test_criterion_3_d2d_reduces_fronthaul(paper_grid):
     rows, _ = paper_grid
     for policy in POLICY_NAMES:
         for n in GRID_COUNTS:
-            with_d2d = gmean(rows, "fronthaul_packets", policy, n, True)
-            without = gmean(rows, "fronthaul_packets", policy, n, False)
+            with_d2d = seed_mean(rows, "fronthaul_packets", policy, n, True)
+            without = seed_mean(rows, "fronthaul_packets", policy, n, False)
             assert with_d2d <= without, (policy, n, with_d2d, without)
     print(
         "PASS criterion 3: mean fronthaul packets with d2d <= without, "

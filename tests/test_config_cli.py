@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from fransim import plotting
+from fransim import engine, plotting
 from fransim.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -407,6 +407,21 @@ def test_charts_are_pure_functions_of_the_csv(tmp_path):
         assert (tmp_path / filename).read_text(encoding="utf-8") == svg
 
 
+def test_sweep_charts_average_seeds_arithmetically():
+    # Two seeds scoring 1 and 4 plot at 2.5 (a geometric mean gives 2).
+    rows = [
+        {"policy": "fifo", "n_fues": 5, "d2d": False, "seed": seed,
+         "avg_hops": value, "cache_hits": value, "fronthaul_packets": value}
+        for seed, value in [(0, 1.0), (1, 4.0)]
+    ]
+    label = "average hops per interest"
+    expected = plotting.line_chart(
+        {"fifo": [(5.0, 2.5)]}, title=f"{label} (D2D off)",
+        xlabel="user devices", ylabel=label,
+    )
+    assert plotting.sweep_charts(rows)["avg_hops_d2d_off.svg"] == expected
+
+
 def test_parallel_sweep_writes_identical_csv(tmp_path):
     cfg = write(tmp_path, "s.yaml", SWEEP_YAML)
     a = str(tmp_path / "a.csv")
@@ -423,6 +438,27 @@ def test_sweep_rejects_unknown_policy(tmp_path, capsys):
         ["sweep", cfg, "--fues", "2", "--policies", "mru"]
     ) == EXIT_CONFIG
     assert "unknown policy" in capsys.readouterr().err
+
+
+def test_sweep_rejects_an_empty_policy_list(tmp_path, capsys):
+    cfg = write(tmp_path, "s.yaml", SWEEP_YAML)
+    out = tmp_path / "grid.csv"
+    assert main(
+        ["sweep", cfg, "--fues", "2", "--policies", ",", "--output", str(out)]
+    ) == EXIT_CONFIG
+    assert "no policy" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_nonpositive_jobs(tmp_path, capsys, monkeypatch, jobs):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the grid ran despite a bad --jobs")
+
+    monkeypatch.setattr(engine, "sweep", no_sweep)
+    cfg = write(tmp_path, "s.yaml", SWEEP_YAML)
+    assert main(["sweep", cfg, "--fues", "2", "--jobs", jobs]) == EXIT_CONFIG
+    assert "--jobs must be at least 1" in capsys.readouterr().err
 
 
 def test_sweep_rejects_bad_fue_spec(tmp_path):

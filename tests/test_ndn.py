@@ -1,6 +1,6 @@
-from fransim import ndn
-from fransim.ndn import APP, DataPacket, InterestPacket, Node
-from fransim.policies import PolicyConfig, make_policy
+import _ndn as ndn
+from _ndn import APP, DataPacket, InterestPacket, Node, make_policy
+from fransim.policies import PolicyConfig
 from fransim.topology import NodeRole
 
 
@@ -8,20 +8,16 @@ def make_node(role=NodeRole.FAP, capacity=2, policy="fifo", upstream=1):
     return Node(5, role, upstream, capacity, make_policy(policy, PolicyConfig()))
 
 
-def interest(name, requester=7, seq=1):
-    return InterestPacket(name, requester, seq)
-
-
 def put(node, name, stamp, fetch_hops=1):
     """Install content via the normal data path."""
     node.pit[name] = [APP]
-    node.handle_data(DataPacket(name, 0, fetch_hops), float(stamp), stamp)
+    node.handle_data(DataPacket(name, fetch_hops), float(stamp), stamp)
 
 
 def test_cs_hit_serves_locally():
     node = make_node()
     put(node, "c1", 1)
-    kind, info = node.handle_interest(interest("c1"), 7, 2.0, 2)
+    kind, info = node.handle_interest(InterestPacket("c1"), 7, 2.0, 2)
     assert kind == ndn.SERVE_FROM_CS
     assert info is None
     assert node.cs.entries["c1"].last_used_at == 2
@@ -29,25 +25,25 @@ def test_cs_hit_serves_locally():
 
 def test_miss_forwards_upstream_and_opens_pit():
     node = make_node(upstream=3)
-    kind, info = node.handle_interest(interest("c1"), 7, 1.0, 1)
+    kind, info = node.handle_interest(InterestPacket("c1"), 7, 1.0, 1)
     assert (kind, info) == (ndn.FORWARDED, 3)
     assert node.pit == {"c1": [7]}
 
 
 def test_pit_aggregates_second_requester():
     node = make_node()
-    node.handle_interest(interest("c2", requester=7), 7, 1.0, 1)
-    kind, info = node.handle_interest(interest("c2", requester=8), 8, 1.0, 2)
+    node.handle_interest(InterestPacket("c2"), 7, 1.0, 1)
+    kind, info = node.handle_interest(InterestPacket("c2"), 8, 1.0, 2)
     assert (kind, info) == (ndn.AGGREGATED, None)
     assert node.pit == {"c2": [7, 8]}
     # The same downstream asking again must not be queued twice.
-    node.handle_interest(interest("c2", requester=7), 7, 1.0, 3)
+    node.handle_interest(InterestPacket("c2"), 7, 1.0, 3)
     assert node.pit == {"c2": [7, 8]}
 
 
 def test_origin_always_serves():
     producer = make_node(role=NodeRole.PRODUCER, capacity=0, upstream=None)
-    kind, info = producer.handle_interest(interest("c9"), 1, 0.0, 1)
+    kind, info = producer.handle_interest(InterestPacket("c9"), 1, 0.0, 1)
     assert (kind, info) == (ndn.SERVE_FROM_CS, None)
     assert producer.pit == {}
 
@@ -56,7 +52,7 @@ def test_d2d_brokered_to_lowest_peer():
     fap = make_node(role=NodeRole.FAP)
     fap.d2d_serve = True
     fap.directory["c3"] = {9, 8}
-    kind, info = fap.handle_interest(interest("c3"), 7, 1.0, 1)
+    kind, info = fap.handle_interest(InterestPacket("c3"), 7, 1.0, 1)
     assert (kind, info) == (ndn.SERVE_VIA_D2D, 8)
     assert fap.pit == {}  # brokered, nothing forwarded
 
@@ -64,15 +60,15 @@ def test_d2d_brokered_to_lowest_peer():
 def test_d2d_disabled_ignores_directory():
     fap = make_node(role=NodeRole.FAP)
     fap.directory["c3"] = {9}
-    kind, _ = fap.handle_interest(interest("c3"), 8, 1.0, 1)
+    kind, _ = fap.handle_interest(InterestPacket("c3"), 8, 1.0, 1)
     assert kind == ndn.FORWARDED
 
 
 def test_data_satisfies_all_requesters_and_clears_pit():
     node = make_node()
-    node.handle_interest(interest("c1", 7), 7, 1.0, 1)
-    node.handle_interest(interest("c1", 8), 8, 1.0, 2)
-    requesters, evicted = node.handle_data(DataPacket("c1", 0, 2), 1.0, 3)
+    node.handle_interest(InterestPacket("c1"), 7, 1.0, 1)
+    node.handle_interest(InterestPacket("c1"), 8, 1.0, 2)
+    requesters, evicted = node.handle_data(DataPacket("c1", 2), 1.0, 3)
     assert requesters == [7, 8]
     assert evicted is None
     assert node.pit == {}
@@ -81,7 +77,7 @@ def test_data_satisfies_all_requesters_and_clears_pit():
 
 def test_unsolicited_data_dropped_and_counted():
     node = make_node()
-    requesters, evicted = node.handle_data(DataPacket("c1", 0, 1), 1.0, 1)
+    requesters, evicted = node.handle_data(DataPacket("c1", 1), 1.0, 1)
     assert (requesters, evicted) == ([], None)
     assert "c1" not in node.cs
     assert node.unsolicited_drops == 1
@@ -99,7 +95,7 @@ def test_fifo_evicts_oldest_on_overflow():
     put(node, "c1", 1)
     put(node, "c2", 2)
     node.pit["c3"] = [7]
-    _, evicted = node.handle_data(DataPacket("c3", 0, 1), 3.0, 3)
+    _, evicted = node.handle_data(DataPacket("c3", 1), 3.0, 3)
     assert evicted == "c1"
     assert set(node.cs.entries) == {"c2", "c3"}
 
@@ -118,7 +114,7 @@ def test_rate_policy_evicts_dominated_entry():
     node.policy.table.rates["c3"] = 4.0
     put(node, "c1", 1, fetch_hops=1)
     node.pit["c3"] = [7]
-    _, evicted = node.handle_data(DataPacket("c3", 0, 1), 2.0, 2)
+    _, evicted = node.handle_data(DataPacket("c3", 1), 2.0, 2)
     assert evicted == "c1"
     assert set(node.cs.entries) == {"c3"}
     assert node.policy.table.rates["c3"] == 5.0  # arrival bumped it
@@ -129,7 +125,7 @@ def test_rate_policy_rejects_weak_arrival():
     node.policy.table.rates["c1"] = 9.0
     put(node, "c1", 1, fetch_hops=1)
     node.pit["c3"] = [7]
-    requesters, evicted = node.handle_data(DataPacket("c3", 0, 1), 2.0, 2)
+    requesters, evicted = node.handle_data(DataPacket("c3", 1), 2.0, 2)
     assert requesters == [7]  # still delivered downstream
     assert evicted is None
     assert set(node.cs.entries) == {"c1"}  # store unchanged
@@ -138,13 +134,13 @@ def test_rate_policy_rejects_weak_arrival():
 def test_d2d_data_not_cached_by_default():
     fue = make_node(role=NodeRole.FUE, capacity=2)
     fue.pit["c1"] = [APP]
-    data = DataPacket("c1", 9, 1, via_d2d=True)
+    data = DataPacket("c1", 1, via_d2d=True)
     requesters, evicted = fue.handle_data(data, 1.0, 1)
     assert requesters == [APP]
     assert "c1" not in fue.cs
     fue.cache_d2d_data = True
     fue.pit["c1"] = [APP]
-    fue.handle_data(DataPacket("c1", 9, 1, via_d2d=True), 2.0, 2)
+    fue.handle_data(DataPacket("c1", 1, via_d2d=True), 2.0, 2)
     assert "c1" in fue.cs
 
 

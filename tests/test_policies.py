@@ -3,18 +3,16 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from fransim.errors import ConfigError
-from fransim.ndn import CsEntry
-from fransim.policies import (
+from _ndn import (
+    CsEntry,
     FifoPolicy,
     LruPolicy,
-    PolicyConfig,
     RateHopPolicy,
     RateTable,
-    ScoreRule,
     make_policy,
-    refreshed_rate,
 )
+from fransim.errors import ConfigError
+from fransim.policies import PolicyConfig, ScoreRule, refreshed_rate
 
 
 def entry(inserted_at, fetch_hops, last_used_at=None):

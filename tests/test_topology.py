@@ -57,20 +57,12 @@ def test_hop_recurrence():
 def test_d2d_groups_partition_fues():
     topo = build_topology(3, [2, 3, 1], CAPS)
     seen = []
-    for group in topo.d2d_groups:
+    for fap, size in zip(topo.faps(), [2, 3, 1]):
+        group = topo.children(fap)
+        assert len(group) == size
         seen.extend(group)
-        parents = {topo.parent[f] for f in group}
-        assert len(parents) == 1
+        assert {topo.parent[f] for f in group} == {fap}
     assert sorted(seen) == topo.fues()
-
-
-def test_group_of():
-    topo = build_topology(2, [2, 2], CAPS)
-    u1, u2, u3, u4 = topo.fues()
-    assert topo.group_of(u1) == [u1, u2]
-    assert topo.group_of(u4) == [u3, u4]
-    with pytest.raises(ValueError):
-        topo.group_of(topo.bbu())
 
 
 def test_upstream_path():

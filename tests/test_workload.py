@@ -6,7 +6,6 @@ from fransim.workload import (
     ZipfSpec,
     build_schedule,
     fue_rng,
-    sample_rank,
     sample_ranks,
     zipf_pmf,
 )
@@ -36,7 +35,6 @@ def test_sample_ranks_within_range_and_deterministic():
     b = sample_ranks(0.8, 100, np.random.default_rng(42), 5000)
     assert np.array_equal(a, b)
     assert a.min() >= 1 and a.max() <= 100
-    assert int(sample_rank(0.8, 100, np.random.default_rng(42))) == a[0]
 
 
 def test_sample_frequencies_track_pmf():
