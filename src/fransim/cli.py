@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,8 +49,18 @@ def _format_row(row: dict) -> dict:
     return out
 
 
+@contextmanager
+def _writing(path: str | Path, newline: str | None = None):
+    """Open an output file; failing to write it is a configuration error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _writing(path, newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for row in rows:
@@ -72,6 +83,13 @@ def _trace_path(base: str, seed: int, many: bool) -> str:
     return str(path.with_name(f"{path.stem}_seed{seed}{path.suffix}"))
 
 
+def _trace_writer(handle):
+    """A trace sink writing each record as one key-sorted JSON line."""
+    def emit(record: dict) -> None:
+        handle.write(json.dumps(record, sort_keys=True) + "\n")
+    return emit
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.output:
@@ -83,26 +101,24 @@ def cmd_run(args) -> int:
     for seed in cfg.seeds:
         zipf = replace(cfg.zipf, seed=seed)
         schedule = build_schedule(zipf, topo.fues())
-        trace_records: list | None = [] if cfg.trace else None
-        sim = engine.Simulation(
-            topo,
-            catalog,
-            cfg.policy,
-            cfg.policy_config,
-            debug=args.debug,
-            cache_d2d_data=cfg.cache_d2d_data,
-            trace=trace_records,
-        )
-        report = sim.run_schedule(schedule)
+        with ExitStack() as files:
+            trace = None
+            if cfg.trace:
+                path = _trace_path(cfg.trace_output, seed, len(cfg.seeds) > 1)
+                trace = _trace_writer(files.enter_context(_writing(path)))
+            sim = engine.Simulation(
+                topo,
+                catalog,
+                cfg.policy,
+                cfg.policy_config,
+                debug=args.debug,
+                cache_d2d_data=cfg.cache_d2d_data,
+                trace=trace,
+            )
+            report = sim.run_schedule(schedule)
         rows.append(
             engine.metrics_row(cfg.policy, n_fues, cfg.d2d_enabled, seed, report)
         )
-        if trace_records is not None:
-            path = _trace_path(cfg.trace_output, seed, len(cfg.seeds) > 1)
-            with open(path, "w", encoding="utf-8") as handle:
-                for record in trace_records:
-                    handle.write(json.dumps(record, sort_keys=True))
-                    handle.write("\n")
     _write_csv(cfg.output, rows)
     print(f"wrote {len(rows)} rows to {cfg.output}")
     return EXIT_OK
@@ -173,7 +189,8 @@ def cmd_sweep(args) -> int:
         out_dir = Path(cfg.output).parent
         for filename, svg in sorted(plotting.sweep_charts(rows).items()):
             target = out_dir / filename
-            target.write_text(svg, encoding="utf-8")
+            with _writing(target) as handle:
+                handle.write(svg)
             print(f"wrote {target}")
     return EXIT_OK
 
@@ -257,7 +274,8 @@ def cmd_oracle(args) -> int:
         print("  (empty placement)")
     if args.lp_out:
         program = linearize(topo, demand)
-        Path(args.lp_out).write_text(program.to_text(), encoding="utf-8")
+        with _writing(args.lp_out) as handle:
+            handle.write(program.to_text())
         print(f"wrote {args.lp_out}")
     if args.verify_linearization:
         result = verify_linearization(topo, demand)

@@ -26,6 +26,7 @@ conservation checks.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass, field, replace
 
 from .errors import InvariantViolation
@@ -86,7 +87,6 @@ class Simulation:
 
         n = len(topo)
         k = len(catalog)
-        self._k = k
         self._is_lru = policy == "lru"
         self._is_ratehop = policy == "rate-hop"
         self._rate_only = self.config.score_rule is ScoreRule.RATE_ONLY
@@ -94,30 +94,28 @@ class Simulation:
         # Per-node state, indexed by NodeId.  Stores map content rank
         # (0-based) to (inserted_stamp, fetch_hops) for the selective
         # policy and to None for FIFO/LRU, which only need dict order.
-        self._cap = list(topo.capacity)
         self._cs: list[dict] = [{} for _ in range(n)]
         self._pit: list[set] = [set() for _ in range(n)]
         if self._is_ratehop:
             self._rates = [[0.0] * k for _ in range(n)]
             self._wc = [[0] * k for _ in range(n)]
             self._min_score: list[float | None] = [None] * n
-        # One directory per access point: rank -> set of devices
-        # under that access point currently caching the content.
-        self._dir: list[dict[int, set[int]] | None] = [None] * n
-        for fap in topo.faps():
-            self._dir[fap] = {}
-        self._fap_of = [0] * n
-        self._paths: dict[int, tuple[int, int, int, int]] = {}
-        for fue in topo.fues():
-            path = topo.upstream_path(fue)
-            self._paths[fue] = tuple(path)
-            self._fap_of[fue] = path[1]
-        self._d2d = topo.d2d_enabled
+        # With D2D on, each device refers to its access point's
+        # directory (rank -> set of devices in the group caching it),
+        # which lists the device's own contents.  None everywhere else:
+        # without D2D nothing reads a directory, so none is kept.
+        self._dir_of: list[dict[int, set[int]] | None] = [None] * n
+        if topo.d2d_enabled:
+            for fap in topo.faps():
+                directory: dict[int, set[int]] = {}
+                for fue in topo.children(fap):
+                    self._dir_of[fue] = directory
+        self._paths = {
+            fue: tuple(topo.upstream_path(fue)) for fue in topo.fues()
+        }
 
         self.seq = 0
         self._n = 0
-        self._hops = 0
-        self._fronthaul = 0
         self._hits = [0, 0, 0, 0, 0]  # own, d2d, fap, bbu, producer
 
     # -- public inspection / scripting helpers ------------------------
@@ -140,10 +138,13 @@ class Simulation:
         return self._rates[node][self.catalog.index[name]]
 
     def report(self) -> MetricsReport:
+        # Every tier's cost is fixed: a round trip of two hops per tree
+        # level climbed (a D2D serve is brokered by the access point),
+        # and a serve above the access point crosses the fronthaul twice.
         own, d2d, fap, bbu, prod = self._hits
         return MetricsReport(
             total_interests=self._n,
-            total_hops=self._hops,
+            total_hops=2 * (d2d + fap) + 4 * bbu + 6 * prod,
             in_network_cache_hits=own + d2d + fap + bbu,
             hits_by_tier={
                 "own_cs": own,
@@ -152,7 +153,7 @@ class Simulation:
                 "bbu": bbu,
                 "producer": prod,
             },
-            fronthaul_packets=self._fronthaul,
+            fronthaul_packets=2 * (bbu + prod),
         )
 
     # -- event processing ---------------------------------------------
@@ -166,7 +167,7 @@ class Simulation:
             denom = alpha + beta
             rates = self._rates
             wc = self._wc
-            k = self._k
+            k = len(self.catalog)
             for node in range(len(rates)):
                 old = rates[node]
                 w = wc[node]
@@ -222,20 +223,19 @@ class Simulation:
             if self._is_lru:
                 store_a[rank] = store_a.pop(rank)
             self._hits[2] += 1
-            self._hops += 2
             if emit is not None:
                 self._trace(now, seq, fap, "interest", rank, "cs-hit")
             self._deliver(rank, now, seq, path, 1)
             return
-        if self._d2d:
-            holders = self._dir[fap].get(rank)
+        directory = self._dir_of[fue]
+        if directory is not None:
+            holders = directory.get(rank)
             if holders:
                 peer = min(holders)
                 if self._is_lru:
                     cs_p = cs[peer]
                     cs_p[rank] = cs_p.pop(rank)
                 self._hits[1] += 1
-                self._hops += 2
                 if ratehop:
                     self._rates[fue][rank] += 1.0
                 if emit is not None:
@@ -252,9 +252,7 @@ class Simulation:
         if emit is not None:
             self._trace(now, seq, fap, "interest", rank, "forwarded")
 
-        # Tier 2: the BBU pool.  Passing it means crossing the
-        # fronthaul twice (interest up now, data back down later).
-        self._fronthaul += 2
+        # Tier 2: the BBU pool.
         bbu = path[2]
         if ratehop:
             self._wc[bbu][rank] += 1
@@ -263,7 +261,6 @@ class Simulation:
             if self._is_lru:
                 store_b[rank] = store_b.pop(rank)
             self._hits[3] += 1
-            self._hops += 4
             if emit is not None:
                 self._trace(now, seq, bbu, "interest", rank, "cs-hit")
             self._deliver(rank, now, seq, path, 2)
@@ -275,7 +272,6 @@ class Simulation:
 
         # Tier 3: the producer always serves.
         self._hits[4] += 1
-        self._hops += 6
         if emit is not None:
             self._trace(now, seq, path[3], "interest", rank, "origin")
         self._deliver(rank, now, seq, path, 3)
@@ -304,63 +300,55 @@ class Simulation:
             self._check_chain(path, served_depth)
 
     def _cache(self, node: int, rank: int, fetch_hops: int, seq: int) -> None:
-        cap = self._cap[node]
+        cap = self.topo.capacity[node]
         if cap == 0:
             return
         store = self._cs[node]
-        if len(store) < cap:
-            store[rank] = (seq, fetch_hops) if self._is_ratehop else None
-            if self._is_ratehop:
-                self._min_score[node] = None
-            if self._fap_of[node]:
-                self._dir_add(node, rank)
-            return
-        if self._is_ratehop:
-            rates = self._rates[node]
-            rate_only = self._rate_only
-            incoming = rates[rank] if rate_only else rates[rank] * fetch_hops
-            low = self._min_score[node]
-            if low is None:
-                if rate_only:
-                    low = min(rates[r] for r in store)
-                else:
-                    low = min(rates[r] * e[1] for r, e in store.items())
-                self._min_score[node] = low
-            if not low < incoming:
-                return
-            victim = None
-            victim_key = None
-            for r, entry in store.items():
-                score = rates[r] if rate_only else rates[r] * entry[1]
-                key = (score, entry[0])
-                if victim_key is None or key < victim_key:
-                    victim = r
-                    victim_key = key
+        ratehop = self._is_ratehop
+        victim = None
+        if len(store) >= cap:
+            if ratehop:
+                rates = self._rates[node]
+                rate_only = self._rate_only
+                incoming = (
+                    rates[rank] if rate_only else rates[rank] * fetch_hops
+                )
+                low = self._min_score[node]
+                if low is None:
+                    if rate_only:
+                        low = min(rates[r] for r in store)
+                    else:
+                        low = min(rates[r] * e[1] for r, e in store.items())
+                    self._min_score[node] = low
+                if not low < incoming:
+                    return
+                victim_key = None
+                for r, entry in store.items():
+                    score = rates[r] if rate_only else rates[r] * entry[1]
+                    key = (score, entry[0])
+                    if victim_key is None or key < victim_key:
+                        victim = r
+                        victim_key = key
+            else:
+                victim = next(iter(store))
             del store[victim]
+        if ratehop:
             store[rank] = (seq, fetch_hops)
             self._min_score[node] = None
         else:
-            victim = next(iter(store))
-            del store[victim]
             store[rank] = None
-        if self._fap_of[node]:
-            self._dir_remove(node, victim)
-            self._dir_add(node, rank)
-
-    def _dir_add(self, fue: int, rank: int) -> None:
-        directory = self._dir[self._fap_of[fue]]
-        holders = directory.get(rank)
-        if holders is None:
-            directory[rank] = {fue}
-        else:
-            holders.add(fue)
-
-    def _dir_remove(self, fue: int, rank: int) -> None:
-        directory = self._dir[self._fap_of[fue]]
-        holders = directory[rank]
-        holders.discard(fue)
-        if not holders:
-            del directory[rank]
+        directory = self._dir_of[node]
+        if directory is not None:
+            if victim is not None:
+                holders = directory[victim]
+                holders.discard(node)
+                if not holders:
+                    del directory[victim]
+            holders = directory.get(rank)
+            if holders is None:
+                directory[rank] = {node}
+            else:
+                holders.add(node)
 
     def _trace(self, now, seq, node, kind, rank, outcome) -> None:
         self._emit(
@@ -388,17 +376,22 @@ class Simulation:
             )
         pit.discard(rank)
 
-    def _check_chain(self, path: tuple, depth: int) -> None:
-        for j in range(depth + 1):
-            node = path[j]
-            if len(self._cs[node]) > self._cap[node]:
+    def _check_capacity(self, nodes) -> None:
+        cs = self._cs
+        capacity = self.topo.capacity
+        for node in nodes:
+            if len(cs[node]) > capacity[node]:
                 raise InvariantViolation(
                     f"capacity exceeded at node {node} (event {self.seq})"
                 )
-        self._check_group(path[1])
 
-    def _check_group(self, fap: int) -> None:
-        directory = self._dir[fap]
+    def _check_chain(self, path: tuple, depth: int) -> None:
+        self._check_capacity(path[:depth + 1])
+        directory = self._dir_of[path[0]]
+        if directory is not None:
+            self._check_group(path[1], directory)
+
+    def _check_group(self, fap: int, directory: dict[int, set[int]]) -> None:
         group = set(self.topo.children(fap))
         for rank, holders in directory.items():
             if not holders:
@@ -421,13 +414,11 @@ class Simulation:
                     )
 
     def _check_global(self) -> None:
-        for node in range(len(self.topo)):
-            if len(self._cs[node]) > self._cap[node]:
-                raise InvariantViolation(
-                    f"capacity exceeded at node {node} (event {self.seq})"
-                )
+        self._check_capacity(range(len(self.topo)))
         for fap in self.topo.faps():
-            self._check_group(fap)
+            group = self.topo.children(fap)
+            if group and self._dir_of[group[0]] is not None:
+                self._check_group(fap, self._dir_of[group[0]])
 
     def _check_final(self) -> None:
         for node, pit in enumerate(self._pit):
@@ -557,6 +548,8 @@ def sweep(
     The request schedule for a cell depends only on (seed, n_fues), so
     every policy and D2D setting sees identical workloads.  Rows come
     back sorted by (policy, n_fues, d2d, seed) regardless of n_jobs.
+    The pool never has more workers than cells or CPUs; with one, the
+    grid runs serially in this process.
     """
     capacities = capacities or Capacities()
     zipf = zipf or ZipfSpec()
@@ -568,6 +561,7 @@ def sweep(
         for d2d in d2d_options
         for seed in seeds
     ]
+    n_jobs = min(n_jobs, len(cells), os.cpu_count() or 1)
     if n_jobs > 1:
         with multiprocessing.Pool(n_jobs) as pool:
             rows = pool.map(_run_cell, cells)

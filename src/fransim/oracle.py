@@ -39,6 +39,11 @@ class DemandSpec:
 
     def validate(self, topo: Topology) -> None:
         for (name, fue), rate in self.base_rate.items():
+            if not 0 <= fue < len(topo):
+                raise ValueError(
+                    f"demand for {name!r} at node {fue}, which is not in "
+                    f"the topology (node ids 0..{len(topo) - 1})"
+                )
             if topo.roles[fue] is not NodeRole.FUE:
                 raise ValueError(
                     f"demand for {name!r} at node {fue}, which is not "
@@ -248,8 +253,8 @@ def linearize(
     demand.validate(topo)
     contents = demand.contents()
     bbu = topo.bbu()
-    h_fap = 2
-    h_bbu = 1
+    hop = topo.hop_from_core
+    h_bbu = hop[bbu]
 
     def keep(node: NodeId) -> bool:
         return not drop_zero_capacity or topo.capacity[node] > 0
@@ -271,12 +276,13 @@ def linearize(
             xu = _x_name(topo, name, fue)
             xa = _x_name(topo, name, fap)
             ok_u, ok_a, ok_b = keep(fue), keep(fap), keep(bbu)
-            # Access-point value at h=2: x_a thinned by the device copy.
+            h_fap = hop[fap]
+            # Access-point value: x_a thinned by the device copy.
             if ok_a:
                 add(frozenset([xa]), h_fap * rate)
                 if ok_u:
                     add(frozenset([xa, xu]), -h_fap * rate)
-            # BBU value at h=1: x_b thinned by both lower copies.
+            # BBU value: x_b thinned by both lower copies.
             if ok_b:
                 add(frozenset([xb]), h_bbu * rate)
                 if ok_a:

@@ -479,6 +479,47 @@ def test_bad_d2d_choice_is_an_argparse_error(tmp_path):
     assert excinfo.value.code == 2
 
 
+# -- unwritable outputs -------------------------------------------------
+
+def unwritable_run(tmp_path):
+    missing = tmp_path / "missing" / "m.csv"
+    return ["run", run_config(tmp_path), "--output", str(missing)], missing
+
+
+def unwritable_trace(tmp_path):
+    missing = tmp_path / "missing" / "t.jsonl"
+    cfg = write(tmp_path, "t.yaml", RUN_YAML.replace(
+        "seeds: [0, 1]",
+        f"seeds: [0]\n      trace: true\n      trace_output: {missing}",
+    ))
+    return ["run", cfg, "--output", str(tmp_path / "m.csv")], missing
+
+
+def unwritable_chart(tmp_path):
+    blocked = tmp_path / "avg_hops_d2d_off.svg"
+    blocked.mkdir()  # a directory where the chart file should go
+    cfg = write(tmp_path, "s.yaml", SWEEP_YAML)
+    out = str(tmp_path / "grid.csv")
+    return ["sweep", cfg, "--fues", "2", "--policies", "fifo", "--d2d",
+            "off", "--plot", "--output", out], blocked
+
+
+def unwritable_program(tmp_path):
+    cfg, demand = oracle_setup(tmp_path)
+    missing = tmp_path / "missing" / "program.lp"
+    argv = ["oracle", cfg, "--demand", demand, "--lp-out", str(missing)]
+    return argv, missing
+
+
+@pytest.mark.parametrize("setup", [
+    unwritable_run, unwritable_trace, unwritable_chart, unwritable_program,
+])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, setup):
+    argv, path = setup(tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    assert f"cannot write {path}" in capsys.readouterr().err
+
+
 # -- oracle command -----------------------------------------------------
 
 ORACLE_YAML = """\
@@ -575,6 +616,14 @@ def test_oracle_rejects_demand_at_non_devices(tmp_path, capsys):
         """)
     assert main(["oracle", cfg, "--demand", demand]) == EXIT_CONFIG
     assert "not user equipment" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["c1,999,1", "c1,-1,3"])
+def test_oracle_rejects_demand_at_unknown_node_ids(tmp_path, capsys, row):
+    cfg, _ = oracle_setup(tmp_path)
+    demand = write(tmp_path, "d.csv", f"name,fue,rate\n{row}\n")
+    assert main(["oracle", cfg, "--demand", demand]) == EXIT_CONFIG
+    assert "not in the topology" in capsys.readouterr().err
 
 
 def test_demand_csv_schema_is_strict(tmp_path):

@@ -1,5 +1,6 @@
 import pytest
 
+from fransim import engine
 from fransim.engine import Simulation, metrics_row, run_single, sweep
 from fransim.errors import InvariantViolation
 from fransim.policies import POLICY_NAMES, PolicyConfig, ScoreRule
@@ -236,6 +237,37 @@ def test_sweep_policy_order_is_irrelevant():
     assert a == b
 
 
+@pytest.mark.parametrize("jobs,cpus,seeds,workers", [
+    (64, 2, 4, 2),     # capped by the CPU count
+    (64, 8, 3, 3),     # capped by the number of cells
+    (3, 8, 4, 3),      # under both caps: as asked
+    (4, None, 4, 0),   # CPU count unknown: serial, no pool
+    (8, 8, 1, 0),      # one cell: serial, no pool
+])
+def test_sweep_bounds_its_pool(monkeypatch, jobs, cpus, seeds, workers):
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return [fn(cell) for cell in cells]
+
+    monkeypatch.setattr(engine.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+    rows = sweep([5], ("fifo",), (False,), range(seeds), zipf=SMALL_ZIPF,
+                 n_jobs=jobs)
+    assert len(rows) == seeds
+    assert started == ([workers] if workers else [])
+
+
 def test_parallel_sweep_matches_serial():
     grid = dict(fue_counts=[5, 6], policies=("fifo", "rate-hop"),
                 d2d_options=(False, True), seeds=[0, 1])
@@ -357,9 +389,18 @@ def test_debug_detects_unlisted_holder():
     topo, sim = debug_sim()
     u1 = topo.fues()[0]
     sim.request(u1, "c1", 0.0)
-    sim._dir[topo.faps()[0]].clear()  # directory forgets the holder
+    sim._dir_of[u1].clear()  # directory forgets the holder
     with pytest.raises(InvariantViolation, match="misses holder"):
         sim.tick(1.0)
+
+
+def test_d2d_off_keeps_no_directory():
+    topo = build_topology(2, [3, 3], Capacities(), False)
+    spec = ZipfSpec(catalog_size=10, interests_per_fue=50)
+    for policy in POLICY_NAMES:
+        sim = Simulation(topo, Catalog(10), policy, debug=True)
+        sim.run_schedule(build_schedule(spec, topo.fues()))
+        assert sim._dir_of == [None] * len(topo)
 
 
 def test_debug_detects_double_forward():
