@@ -59,7 +59,8 @@ def _writing(path: str | Path, newline: str | None = None):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(path: str, rows: list[dict]) -> None:
+def _write_csv(path: str, rows) -> None:
+    """Write metrics rows, each as soon as ``rows`` yields it."""
     with _writing(path, newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
         writer.writeheader()
@@ -97,30 +98,34 @@ def cmd_run(args) -> int:
     topo = _build_topology(cfg)
     catalog = Catalog(cfg.zipf.catalog_size)
     n_fues = len(topo.fues())
-    rows = []
-    for seed in cfg.seeds:
-        zipf = replace(cfg.zipf, seed=seed)
-        schedule = build_schedule(zipf, topo.fues())
-        with ExitStack() as files:
-            trace = None
-            if cfg.trace:
-                path = _trace_path(cfg.trace_output, seed, len(cfg.seeds) > 1)
-                trace = _trace_writer(files.enter_context(_writing(path)))
-            sim = engine.Simulation(
-                topo,
-                catalog,
-                cfg.policy,
-                cfg.policy_config,
-                debug=args.debug,
-                cache_d2d_data=cfg.cache_d2d_data,
-                trace=trace,
+
+    def rows():
+        for seed in cfg.seeds:
+            zipf = replace(cfg.zipf, seed=seed)
+            schedule = build_schedule(zipf, topo.fues())
+            with ExitStack() as files:
+                trace = None
+                if cfg.trace:
+                    path = _trace_path(
+                        cfg.trace_output, seed, len(cfg.seeds) > 1
+                    )
+                    trace = _trace_writer(files.enter_context(_writing(path)))
+                sim = engine.Simulation(
+                    topo,
+                    catalog,
+                    cfg.policy,
+                    cfg.policy_config,
+                    debug=args.debug,
+                    cache_d2d_data=cfg.cache_d2d_data,
+                    trace=trace,
+                )
+                report = sim.run_schedule(schedule)
+            yield engine.metrics_row(
+                cfg.policy, n_fues, cfg.d2d_enabled, seed, report
             )
-            report = sim.run_schedule(schedule)
-        rows.append(
-            engine.metrics_row(cfg.policy, n_fues, cfg.d2d_enabled, seed, report)
-        )
-    _write_csv(cfg.output, rows)
-    print(f"wrote {len(rows)} rows to {cfg.output}")
+
+    _write_csv(cfg.output, rows())
+    print(f"wrote {len(cfg.seeds)} rows to {cfg.output}")
     return EXIT_OK
 
 
@@ -272,13 +277,14 @@ def cmd_oracle(args) -> int:
             print(f"  {name} @ {label}")
     else:
         print("  (empty placement)")
+    program = None
     if args.lp_out:
         program = linearize(topo, demand)
         with _writing(args.lp_out) as handle:
             handle.write(program.to_text())
         print(f"wrote {args.lp_out}")
     if args.verify_linearization:
-        result = verify_linearization(topo, demand)
+        result = verify_linearization(topo, demand, program)
         verdict = "exact" if result else f"MISMATCH: {result.message}"
         print(
             f"linearization over {result.checked} assignments: {verdict}"

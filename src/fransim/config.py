@@ -31,30 +31,25 @@ Example:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from enum import Enum
 
 import yaml
 
 from .errors import ConfigError
-from .policies import POLICY_NAMES, PolicyConfig, ScoreRule
+from .policies import POLICY_NAMES, PolicyConfig
 from .topology import Capacities
 from .workload import ZipfSpec
 
 _TOPOLOGY_KEYS = {
     "n_faps", "fues_per_fap", "capacities", "d2d_enabled", "cache_d2d_data",
 }
-_CAPACITY_KEYS = {"bbu", "fap", "fue"}
-_WORKLOAD_KEYS = {
-    "exponent", "catalog_size", "seed", "interests_per_fue", "inter_arrival",
-}
-_POLICY_KEYS = {"name", "tau", "alpha", "beta", "score_rule"}
 _RUN_KEYS = {"seeds", "trace", "output", "trace_output"}
 _TOP_KEYS = {"topology", "workload", "policy", "run"}
 
 
 @dataclass
 class ScenarioConfig:
-    n_faps: int = 5
     fues_per_fap: list[int] = field(default_factory=lambda: [6] * 5)
     capacities: Capacities = field(default_factory=Capacities)
     d2d_enabled: bool = False
@@ -66,6 +61,10 @@ class ScenarioConfig:
     trace: bool = False
     output: str = "metrics.csv"
     trace_output: str = "trace.jsonl"
+
+    @property
+    def n_faps(self) -> int:
+        return len(self.fues_per_fap)
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -84,17 +83,42 @@ def _reject_unknown(block: dict, allowed: set, where: str) -> None:
         )
 
 
-def _typed(block: dict, key: str, kinds, default, where: str):
+def _typed(block: dict, key: str, default, where: str):
+    """``block[key]`` if present, else ``default``, whose type decides
+    what is accepted: an int may stand for a float, a boolean never
+    stands for a number, and an enum member is given by its value."""
     if key not in block:
         return default
     value = block[key]
-    if isinstance(value, bool) and bool not in (
-        kinds if isinstance(kinds, tuple) else (kinds,)
-    ):
+    kind = type(default)
+    if isinstance(default, Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(
+                f"{where}.{key} must be one of "
+                f"{', '.join(member.value for member in kind)}"
+            ) from None
+    if isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"{where}.{key} must not be a boolean")
-    if not isinstance(value, kinds):
+    if not isinstance(value, (int, float) if kind is float else kind):
         raise ConfigError(f"{where}.{key} has the wrong type")
-    return value
+    return kind(value)
+
+
+def _read_block(cls, raw, where: str):
+    """Build dataclass ``cls`` from a YAML block keyed by its field
+    names, taking each missing value from the class default."""
+    block = _require_mapping(raw, where)
+    _reject_unknown(block, {f.name for f in fields(cls)}, where)
+    defaults = cls()
+    values = {
+        key: _typed(block, key, getattr(defaults, key), where) for key in block
+    }
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -116,75 +140,43 @@ def parse_config(raw: dict) -> ScenarioConfig:
 
     topo = _require_mapping(raw.get("topology"), "topology")
     _reject_unknown(topo, _TOPOLOGY_KEYS, "topology")
-    cfg.n_faps = _typed(topo, "n_faps", int, cfg.n_faps, "topology")
-    if cfg.n_faps < 1:
+    n_faps = _typed(topo, "n_faps", cfg.n_faps, "topology")
+    if n_faps < 1:
         raise ConfigError("topology.n_faps must be positive")
-    fues = topo.get("fues_per_fap", 6)
+    # The default device counts are uniform, so an access-point count
+    # alone repeats the first of them.
+    fues = topo.get("fues_per_fap", cfg.fues_per_fap[0])
     if isinstance(fues, bool) or not isinstance(fues, (int, list)):
         raise ConfigError("topology.fues_per_fap must be an int or a list")
     if isinstance(fues, int):
-        cfg.fues_per_fap = [fues] * cfg.n_faps
+        cfg.fues_per_fap = [fues] * n_faps
     else:
-        if len(fues) != cfg.n_faps or not all(
+        if len(fues) != n_faps or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in fues
         ):
             raise ConfigError(
                 "topology.fues_per_fap must list one int per access point"
             )
         cfg.fues_per_fap = list(fues)
-    caps = _require_mapping(topo.get("capacities"), "topology.capacities")
-    _reject_unknown(caps, _CAPACITY_KEYS, "topology.capacities")
-    defaults = Capacities()
-    try:
-        cfg.capacities = Capacities(
-            bbu=_typed(caps, "bbu", int, defaults.bbu, "capacities"),
-            fap=_typed(caps, "fap", int, defaults.fap, "capacities"),
-            fue=_typed(caps, "fue", int, defaults.fue, "capacities"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if min(cfg.capacities.bbu, cfg.capacities.fap, cfg.capacities.fue) < 0:
-        raise ConfigError("capacities must be non-negative")
-    cfg.d2d_enabled = _typed(topo, "d2d_enabled", bool, False, "topology")
-    cfg.cache_d2d_data = _typed(topo, "cache_d2d_data", bool, False, "topology")
-
-    wl = _require_mapping(raw.get("workload"), "workload")
-    _reject_unknown(wl, _WORKLOAD_KEYS, "workload")
-    cfg.zipf = ZipfSpec(
-        exponent=float(
-            _typed(wl, "exponent", (int, float), 0.8, "workload")
-        ),
-        catalog_size=_typed(wl, "catalog_size", int, 100, "workload"),
-        seed=_typed(wl, "seed", int, 0, "workload"),
-        interests_per_fue=_typed(wl, "interests_per_fue", int, 2000, "workload"),
-        inter_arrival=float(
-            _typed(wl, "inter_arrival", (int, float), 1.0, "workload")
-        ),
+    cfg.capacities = _read_block(
+        Capacities, topo.get("capacities"), "topology.capacities"
+    )
+    cfg.d2d_enabled = _typed(topo, "d2d_enabled", cfg.d2d_enabled, "topology")
+    cfg.cache_d2d_data = _typed(
+        topo, "cache_d2d_data", cfg.cache_d2d_data, "topology"
     )
 
-    pol = _require_mapping(raw.get("policy"), "policy")
-    _reject_unknown(pol, _POLICY_KEYS, "policy")
-    cfg.policy = _typed(pol, "name", str, "rate-hop", "policy")
+    wl = _require_mapping(raw.get("workload"), "workload")
+    cfg.zipf = _read_block(ZipfSpec, wl, "workload")
+
+    pol = dict(_require_mapping(raw.get("policy"), "policy"))
+    cfg.policy = _typed(pol, "name", cfg.policy, "policy")
     if cfg.policy not in POLICY_NAMES:
         raise ConfigError(
             f"policy.name must be one of {', '.join(POLICY_NAMES)}"
         )
-    rule_raw = _typed(
-        pol, "score_rule", str, ScoreRule.RATE_TIMES_FETCH_HOPS.value, "policy"
-    )
-    try:
-        rule = ScoreRule(rule_raw)
-    except ValueError:
-        raise ConfigError(
-            f"policy.score_rule must be one of "
-            f"{', '.join(r.value for r in ScoreRule)}"
-        ) from None
-    cfg.policy_config = PolicyConfig(
-        tau=float(_typed(pol, "tau", (int, float), 100.0, "policy")),
-        alpha=float(_typed(pol, "alpha", (int, float), 1.0, "policy")),
-        beta=float(_typed(pol, "beta", (int, float), 1.0, "policy")),
-        score_rule=rule,
-    )
+    pol.pop("name", None)
+    cfg.policy_config = _read_block(PolicyConfig, pol, "policy")
 
     run = _require_mapping(raw.get("run"), "run")
     _reject_unknown(run, _RUN_KEYS, "run")
@@ -197,7 +189,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         cfg.seeds = list(seeds)
     elif "seed" in wl:
         cfg.seeds = [cfg.zipf.seed]
-    cfg.trace = _typed(run, "trace", bool, False, "run")
-    cfg.output = _typed(run, "output", str, "metrics.csv", "run")
-    cfg.trace_output = _typed(run, "trace_output", str, "trace.jsonl", "run")
+    cfg.trace = _typed(run, "trace", cfg.trace, "run")
+    cfg.output = _typed(run, "output", cfg.output, "run")
+    cfg.trace_output = _typed(run, "trace_output", cfg.trace_output, "run")
     return cfg

@@ -25,6 +25,8 @@ conservation checks.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import multiprocessing
 import os
 from dataclasses import dataclass, field, replace
@@ -76,7 +78,6 @@ class Simulation:
             raise ValueError(f"unknown policy {policy!r}")
         self.topo = topo
         self.catalog = catalog
-        self.policy = policy
         self.config = policy_config or PolicyConfig()
         self.debug = debug
         self.cache_d2d_data = cache_d2d_data
@@ -92,8 +93,9 @@ class Simulation:
         self._rate_only = self.config.score_rule is ScoreRule.RATE_ONLY
 
         # Per-node state, indexed by NodeId.  Stores map content rank
-        # (0-based) to (inserted_stamp, fetch_hops) for the selective
-        # policy and to None for FIFO/LRU, which only need dict order.
+        # (0-based) to (inserted_stamp, weight) for the selective
+        # policy, where an entry scores rate * weight, and to None for
+        # FIFO/LRU, which only need dict order.
         self._cs: list[dict] = [{} for _ in range(n)]
         self._pit: list[set] = [set() for _ in range(n)]
         if self._is_ratehop:
@@ -306,26 +308,21 @@ class Simulation:
         store = self._cs[node]
         ratehop = self._is_ratehop
         victim = None
+        if ratehop:
+            weight = 1 if self._rate_only else fetch_hops
         if len(store) >= cap:
             if ratehop:
                 rates = self._rates[node]
-                rate_only = self._rate_only
-                incoming = (
-                    rates[rank] if rate_only else rates[rank] * fetch_hops
-                )
+                incoming = rates[rank] * weight
                 low = self._min_score[node]
                 if low is None:
-                    if rate_only:
-                        low = min(rates[r] for r in store)
-                    else:
-                        low = min(rates[r] * e[1] for r, e in store.items())
+                    low = min(rates[r] * e[1] for r, e in store.items())
                     self._min_score[node] = low
                 if not low < incoming:
                     return
                 victim_key = None
                 for r, entry in store.items():
-                    score = rates[r] if rate_only else rates[r] * entry[1]
-                    key = (score, entry[0])
+                    key = (rates[r] * entry[1], entry[0])
                     if victim_key is None or key < victim_key:
                         victim = r
                         victim_key = key
@@ -333,7 +330,7 @@ class Simulation:
                 victim = next(iter(store))
             del store[victim]
         if ratehop:
-            store[rank] = (seq, fetch_hops)
+            store[rank] = (seq, weight)
             self._min_score[node] = None
         else:
             store[rank] = None
@@ -511,21 +508,9 @@ def metrics_row(policy, n_fues, d2d, seed, report: MetricsReport) -> dict:
     }
 
 
-def _run_cell(args) -> dict:
-    (policy, n_fues, d2d, seed, n_faps, capacities, zipf, policy_config,
-     cache_d2d_data, debug) = args
-    report = run_single(
-        policy,
-        n_fues,
-        d2d,
-        seed,
-        n_faps=n_faps,
-        capacities=capacities,
-        zipf=zipf,
-        policy_config=policy_config,
-        cache_d2d_data=cache_d2d_data,
-        debug=debug,
-    )
+def _run_cell(cell, **shared) -> dict:
+    policy, n_fues, d2d, seed = cell
+    report = run_single(policy, n_fues, d2d, seed, **shared)
     return metrics_row(policy, n_fues, d2d, seed, report)
 
 
@@ -551,21 +536,21 @@ def sweep(
     The pool never has more workers than cells or CPUs; with one, the
     grid runs serially in this process.
     """
-    capacities = capacities or Capacities()
-    zipf = zipf or ZipfSpec()
-    cells = [
-        (policy, n_fues, d2d, seed, n_faps, capacities, zipf,
-         policy_config, cache_d2d_data, debug)
-        for policy in policies
-        for n_fues in fue_counts
-        for d2d in d2d_options
-        for seed in seeds
-    ]
+    run_cell = functools.partial(
+        _run_cell,
+        n_faps=n_faps,
+        capacities=capacities,
+        zipf=zipf,
+        policy_config=policy_config,
+        cache_d2d_data=cache_d2d_data,
+        debug=debug,
+    )
+    cells = list(itertools.product(policies, fue_counts, d2d_options, seeds))
     n_jobs = min(n_jobs, len(cells), os.cpu_count() or 1)
     if n_jobs > 1:
         with multiprocessing.Pool(n_jobs) as pool:
-            rows = pool.map(_run_cell, cells)
+            rows = pool.map(run_cell, cells)
     else:
-        rows = [_run_cell(cell) for cell in cells]
+        rows = [run_cell(cell) for cell in cells]
     rows.sort(key=lambda r: (r["policy"], r["n_fues"], r["d2d"], r["seed"]))
     return rows

@@ -194,9 +194,6 @@ class Constraint:
     coeffs: dict[str, float]
     rhs: float
 
-    def check(self, values: dict[str, float], tol: float = 1e-9) -> bool:
-        return sum(c * values[v] for v, c in self.coeffs.items()) <= self.rhs + tol
-
 
 @dataclass
 class LinearizedProgram:

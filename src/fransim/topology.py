@@ -41,6 +41,10 @@ class Capacities:
     fap: int = 4
     fue: int = 2
 
+    def __post_init__(self):
+        if min(self.bbu, self.fap, self.fue) < 0:
+            raise ValueError("capacities must be non-negative")
+
     def for_role(self, role: NodeRole) -> int:
         if role is NodeRole.BBU_POOL:
             return self.bbu
@@ -71,76 +75,50 @@ class Catalog:
 
 
 class Topology:
-    """A four-tier tree; an access point's children are its D2D group.
+    """The four-tier tree; an access point's children are its D2D group.
 
-    All per-node attributes are lists indexed by NodeId.  The tree is
+    ``fues_per_fap`` lists the device count of each access point.  Node
+    ids are assigned breadth first: producer 0, BBU pool 1, then the
+    access points, then all user devices grouped by access point.  All
+    per-node attributes are lists indexed by NodeId.  The tree is
     immutable after construction.
     """
 
     def __init__(
         self,
-        roles: list[NodeRole],
-        parent: list[NodeId | None],
-        capacity: list[int],
+        fues_per_fap: list[int],
+        capacities: Capacities,
         d2d_enabled: bool,
     ):
-        n = len(roles)
-        if not (len(parent) == len(capacity) == n):
-            raise ValueError("per-node lists must have equal length")
-        self.roles = roles
-        self.parent = parent
-        self.capacity = capacity
+        n_faps = len(fues_per_fap)
+        if n_faps < 1 or any(k < 1 for k in fues_per_fap):
+            raise ValueError(
+                "need at least one access point and one device per access point"
+            )
         self.d2d_enabled = d2d_enabled
-        self.hop_from_core = [HOP_FROM_CORE[r] for r in roles]
-
-        self._children: list[list[NodeId]] = [[] for _ in range(n)]
-        for node, par in enumerate(parent):
-            if par is not None:
-                self._children[par].append(node)
-
-        self.labels = self._make_labels()
+        self._faps = list(range(2, 2 + n_faps))
+        self._fues = list(range(2 + n_faps, 2 + n_faps + sum(fues_per_fap)))
+        self.roles = (
+            [NodeRole.PRODUCER, NodeRole.BBU_POOL]
+            + [NodeRole.FAP] * n_faps
+            + [NodeRole.FUE] * len(self._fues)
+        )
+        self.parent: list[NodeId | None] = [None, 0] + [1] * n_faps
+        self._children: list[list[NodeId]] = [[1], list(self._faps)]
+        first = self._fues[0]
+        for fap, count in zip(self._faps, fues_per_fap):
+            self.parent += [fap] * count
+            self._children.append(list(range(first, first + count)))
+            first += count
+        self._children += [[] for _ in self._fues]
+        self.capacity = [capacities.for_role(r) for r in self.roles]
+        self.hop_from_core = [HOP_FROM_CORE[r] for r in self.roles]
+        self.labels = (
+            ["producer", "bbu"]
+            + [f"fap{i}" for i in range(1, n_faps + 1)]
+            + [f"fue{i}" for i in range(1, len(self._fues) + 1)]
+        )
         self.label_to_id = {lab: i for i, lab in enumerate(self.labels)}
-        self._validate()
-
-    def _make_labels(self) -> list[str]:
-        labels = []
-        counts = {NodeRole.FAP: 0, NodeRole.FUE: 0}
-        for role in self.roles:
-            if role is NodeRole.PRODUCER:
-                labels.append("producer")
-            elif role is NodeRole.BBU_POOL:
-                labels.append("bbu")
-            else:
-                counts[role] += 1
-                labels.append(f"{role.value}{counts[role]}")
-        return labels
-
-    def _validate(self) -> None:
-        expected_parent_role = {
-            NodeRole.BBU_POOL: NodeRole.PRODUCER,
-            NodeRole.FAP: NodeRole.BBU_POOL,
-            NodeRole.FUE: NodeRole.FAP,
-        }
-        for node, role in enumerate(self.roles):
-            par = self.parent[node]
-            if role is NodeRole.PRODUCER:
-                if par is not None:
-                    raise ValueError("producer must be the tree root")
-                continue
-            if par is None:
-                raise ValueError(f"node {node} ({role.value}) has no parent")
-            if self.roles[par] is not expected_parent_role[role]:
-                raise ValueError(
-                    f"node {node} ({role.value}) attached to a "
-                    f"{self.roles[par].value} node"
-                )
-        if sum(1 for r in self.roles if r is NodeRole.PRODUCER) != 1:
-            raise ValueError("exactly one producer required")
-        if sum(1 for r in self.roles if r is NodeRole.BBU_POOL) != 1:
-            raise ValueError("exactly one BBU pool required")
-        for cap in self.capacity:
-            if cap < 0:
-                raise ValueError("capacities must be non-negative")
 
     def __len__(self) -> int:
         return len(self.roles)
@@ -149,16 +127,16 @@ class Topology:
         return self._children[node]
 
     def producer(self) -> NodeId:
-        return self.roles.index(NodeRole.PRODUCER)
+        return 0
 
     def bbu(self) -> NodeId:
-        return self.roles.index(NodeRole.BBU_POOL)
+        return 1
 
     def faps(self) -> list[NodeId]:
-        return [i for i, r in enumerate(self.roles) if r is NodeRole.FAP]
+        return list(self._faps)
 
     def fues(self) -> list[NodeId]:
-        return [i for i, r in enumerate(self.roles) if r is NodeRole.FUE]
+        return list(self._fues)
 
     def upstream_path(self, node: NodeId) -> list[NodeId]:
         """Nodes from `node` up to and including the producer."""
@@ -184,26 +162,10 @@ def build_topology(
 ) -> Topology:
     """Build the standard tree: producer, one BBU pool, F-APs, F-UEs.
 
-    Node ids are assigned breadth first: producer 0, BBU 1, then the
-    access points, then all user devices grouped by access point.
+    An int ``fues_per_fap`` gives every access point that many devices.
     """
     if isinstance(fues_per_fap, int):
         fues_per_fap = [fues_per_fap] * n_faps
     if len(fues_per_fap) != n_faps:
         raise ValueError("fues_per_fap must list one count per access point")
-    if n_faps < 1 or any(k < 1 for k in fues_per_fap):
-        raise ValueError(
-            "need at least one access point and one device per access point"
-        )
-
-    roles: list[NodeRole] = [NodeRole.PRODUCER, NodeRole.BBU_POOL]
-    parent: list[NodeId | None] = [None, 0]
-    roles += [NodeRole.FAP] * n_faps
-    parent += [1] * n_faps
-    fap_ids = list(range(2, 2 + n_faps))
-    for fap, count in zip(fap_ids, fues_per_fap):
-        roles += [NodeRole.FUE] * count
-        parent += [fap] * count
-
-    capacity = [capacities.for_role(r) for r in roles]
-    return Topology(roles, parent, capacity, d2d_enabled)
+    return Topology(fues_per_fap, capacities, d2d_enabled)

@@ -8,6 +8,7 @@ from fransim import engine, plotting
 from fransim.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
+    EXIT_INVARIANT,
     EXIT_OK,
     EXIT_TOO_LARGE,
     _node_id,
@@ -18,7 +19,7 @@ from fransim.cli import (
     main,
 )
 from fransim.config import ScenarioConfig, load_config, parse_config
-from fransim.errors import ConfigError
+from fransim.errors import ConfigError, InvariantViolation
 from fransim.oracle import DemandSpec
 from fransim.policies import ScoreRule
 from fransim.topology import Capacities, build_topology
@@ -518,6 +519,33 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, setup):
     argv, path = setup(tmp_path)
     assert main(argv) == EXIT_CONFIG
     assert f"cannot write {path}" in capsys.readouterr().err
+
+
+def test_unwritable_csv_stops_run_before_any_seed(tmp_path, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated although the CSV cannot be written")
+
+    monkeypatch.setattr(engine, "Simulation", no_simulation)
+    argv, _ = unwritable_run(tmp_path)
+    assert main(argv) == EXIT_CONFIG
+
+
+def test_stopped_run_keeps_the_rows_of_finished_seeds(tmp_path, monkeypatch):
+    real_run = engine.Simulation.run_schedule
+    runs = []
+
+    def fail_second_seed(sim, schedule):
+        runs.append(sim)
+        if len(runs) == 2:
+            raise InvariantViolation("stopped on purpose")
+        return real_run(sim, schedule)
+
+    monkeypatch.setattr(engine.Simulation, "run_schedule", fail_second_seed)
+    out = tmp_path / "m.csv"
+    assert main(["run", run_config(tmp_path), "--output", str(out)]) == (
+        EXIT_INVARIANT
+    )
+    assert [row["seed"] for row in read_csv(out)] == ["0"]
 
 
 # -- oracle command -----------------------------------------------------

@@ -1,12 +1,16 @@
 """Golden regression for the seven-node replacement scenario.
 
 Two access points with two devices each, store capacities 2/2/1, and
-the request sequence C1 C2 C1 C2 C3 C3.  Under FIFO the BBU blindly
-evicts its oldest entry (c1) when c3 arrives; under the rate-and-hop
-policy, seeded BBU rates protect c1/c2 there while access point 1
-absorbs c3 instead.  The golden files were produced by
-scripts/make_walkthrough_goldens.py, which re-checks them against the
-hand trace before writing.
+the request sequence C1 C2 C1 C2 C3 C3.  The golden files in
+``tests/data`` hold the hand-traced final stores and metrics:
+
+- FIFO: the BBU evicts its oldest entry (c1) when c3 arrives, and
+  access point 1 then serves the second c3 from its own store.
+- Rate-and-hop, with BBU rates seeded at 4 for c1 and c2: each
+  incumbent's data arrival lifts it to 5 x 1 at the BBU, where c3
+  scores only 1 x 1 and then 2 x 1, so the BBU keeps c1/c2.  Access
+  point 1 rejects the first c3 (a tie, 1 x 2 vs 1 x 2) and admits the
+  second (2 x 2 > 1 x 2), evicting its earliest insert, c1.
 """
 
 import json

@@ -4,6 +4,7 @@ from fransim.topology import (
     Capacities,
     Catalog,
     NodeRole,
+    Topology,
     build_topology,
     distribute_fues,
 )
@@ -100,6 +101,10 @@ def test_rejects_bad_tier_sizes():
         build_topology(2, [1, 0], CAPS)
     with pytest.raises(ValueError):
         build_topology(2, [1], CAPS)
+    with pytest.raises(ValueError):
+        Topology([], CAPS, False)
+    with pytest.raises(ValueError):
+        Topology([1, 0], CAPS, False)
 
 
 def test_rejects_negative_capacity():
