@@ -263,11 +263,9 @@ def cmd_oracle(args) -> int:
     else:
         raise ConfigError("oracle needs --demand or --demand-from-trace")
     try:
-        demand.validate(topo)
-    except ValueError as exc:
+        placement, value = brute_force_optimal(topo, demand)
+    except ValueError as exc:  # the demand does not fit the topology
         raise ConfigError(str(exc)) from exc
-
-    placement, value = brute_force_optimal(topo, demand)
     print(f"optimal = {value:g}")
     chosen = sorted(
         (name, topo.labels[node]) for (name, node), x in placement.items() if x

@@ -102,16 +102,18 @@ class Simulation:
             self._rates = [[0.0] * k for _ in range(n)]
             self._wc = [[0] * k for _ in range(n)]
             self._min_score: list[float | None] = [None] * n
-        # With D2D on, each device refers to its access point's
-        # directory (rank -> set of devices in the group caching it),
-        # which lists the device's own contents.  None everywhere else:
-        # without D2D nothing reads a directory, so none is kept.
-        self._dir_of: list[dict[int, set[int]] | None] = [None] * n
+        # With D2D on, each device refers to its access point's group:
+        # the stores of the access point's devices in device-id order,
+        # so a D2D lookup that asks them in turn finds the lowest-id
+        # holder.  Stores are mutated in place and never replaced, so
+        # the tuple stays current.  None everywhere without D2D.
+        self._group_of: list[tuple[dict, ...] | None] = [None] * n
         if topo.d2d_enabled:
             for fap in topo.faps():
-                directory: dict[int, set[int]] = {}
-                for fue in topo.children(fap):
-                    self._dir_of[fue] = directory
+                group = topo.children(fap)
+                stores = tuple(self._cs[fue] for fue in group)
+                for fue in group:
+                    self._group_of[fue] = stores
         self._paths = {
             fue: tuple(topo.upstream_path(fue)) for fue in topo.fues()
         }
@@ -184,7 +186,7 @@ class Simulation:
                  "name": None, "outcome": "refresh"}
             )
         if self.debug:
-            self._check_global()
+            self._check_capacity(range(len(self.topo)))
 
     def request(self, fue: int, name: str, now: float) -> None:
         """Process one consumer request to completion."""
@@ -229,14 +231,14 @@ class Simulation:
                 self._trace(now, seq, fap, "interest", rank, "cs-hit")
             self._deliver(rank, now, seq, path, 1)
             return
-        directory = self._dir_of[fue]
-        if directory is not None:
-            holders = directory.get(rank)
-            if holders:
-                peer = min(holders)
+        group = self._group_of[fue]
+        if group is not None:
+            # The requester's own store is in the group but has missed.
+            for peer_store in group:
+                if rank not in peer_store:
+                    continue
                 if self._is_lru:
-                    cs_p = cs[peer]
-                    cs_p[rank] = cs_p.pop(rank)
+                    peer_store[rank] = peer_store.pop(rank)
                 self._hits[1] += 1
                 if ratehop:
                     self._rates[fue][rank] += 1.0
@@ -247,7 +249,7 @@ class Simulation:
                     self._cache(fue, rank, 1, seq)
                 if debug:
                     self._consume(fue, rank)
-                    self._check_chain(path, 1)
+                    self._check_capacity(path[:2])
                 return
         if debug:
             self._forward(fap, rank)
@@ -299,7 +301,7 @@ class Simulation:
             if self._emit is not None:
                 self._trace(now, seq, node, "data", rank, "arrived")
         if self.debug:
-            self._check_chain(path, served_depth)
+            self._check_capacity(path[:served_depth + 1])
 
     def _cache(self, node: int, rank: int, fetch_hops: int, seq: int) -> None:
         cap = self.topo.capacity[node]
@@ -307,7 +309,6 @@ class Simulation:
             return
         store = self._cs[node]
         ratehop = self._is_ratehop
-        victim = None
         if ratehop:
             weight = 1 if self._rate_only else fetch_hops
         if len(store) >= cap:
@@ -334,18 +335,6 @@ class Simulation:
             self._min_score[node] = None
         else:
             store[rank] = None
-        directory = self._dir_of[node]
-        if directory is not None:
-            if victim is not None:
-                holders = directory[victim]
-                holders.discard(node)
-                if not holders:
-                    del directory[victim]
-            holders = directory.get(rank)
-            if holders is None:
-                directory[rank] = {node}
-            else:
-                holders.add(node)
 
     def _trace(self, now, seq, node, kind, rank, outcome) -> None:
         self._emit(
@@ -382,41 +371,6 @@ class Simulation:
                     f"capacity exceeded at node {node} (event {self.seq})"
                 )
 
-    def _check_chain(self, path: tuple, depth: int) -> None:
-        self._check_capacity(path[:depth + 1])
-        directory = self._dir_of[path[0]]
-        if directory is not None:
-            self._check_group(path[1], directory)
-
-    def _check_group(self, fap: int, directory: dict[int, set[int]]) -> None:
-        group = set(self.topo.children(fap))
-        for rank, holders in directory.items():
-            if not holders:
-                raise InvariantViolation(
-                    f"empty directory set at node {fap} (event {self.seq})"
-                )
-            for holder in holders:
-                if holder not in group or rank not in self._cs[holder]:
-                    raise InvariantViolation(
-                        f"directory at node {fap} lists a non-holder "
-                        f"{holder} for {self.catalog.names[rank]} "
-                        f"(event {self.seq})"
-                    )
-        for fue in group:
-            for rank in self._cs[fue]:
-                if fue not in directory.get(rank, ()):
-                    raise InvariantViolation(
-                        f"directory at node {fap} misses holder {fue} for "
-                        f"{self.catalog.names[rank]} (event {self.seq})"
-                    )
-
-    def _check_global(self) -> None:
-        self._check_capacity(range(len(self.topo)))
-        for fap in self.topo.faps():
-            group = self.topo.children(fap)
-            if group and self._dir_of[group[0]] is not None:
-                self._check_group(fap, self._dir_of[group[0]])
-
     def _check_final(self) -> None:
         for node, pit in enumerate(self._pit):
             if pit:
@@ -429,7 +383,7 @@ class Simulation:
             raise InvariantViolation(
                 f"{self._n} interests issued but {answered} answered"
             )
-        self._check_global()
+        self._check_capacity(range(len(self.topo)))
 
     # -- schedule replay ----------------------------------------------
 

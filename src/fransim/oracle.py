@@ -383,9 +383,10 @@ def verify_linearization(
     freely within its own constraints.  Returns a falsy report naming
     the first counterexample otherwise.
     """
-    demand.validate(topo)
     if program is None:
-        program = linearize(topo, demand)
+        program = linearize(topo, demand)  # validates the demand
+    else:
+        demand.validate(topo)
     # Guard on the program's own width: it may list zero-capacity
     # stores' variables, so it can be wider than the placement search.
     if len(program.x_vars) > ENUMERATION_LIMIT:

@@ -23,16 +23,6 @@ class NodeRole(Enum):
     FUE = "fue"
 
 
-# Hop distance from the core for each tier.  The producer sits at the
-# core; every tier below it is one hop further out.
-HOP_FROM_CORE = {
-    NodeRole.PRODUCER: 0,
-    NodeRole.BBU_POOL: 1,
-    NodeRole.FAP: 2,
-    NodeRole.FUE: 3,
-}
-
-
 @dataclass(frozen=True)
 class Capacities:
     """Content-store sizes per tier (the producer stores everything)."""
@@ -44,15 +34,6 @@ class Capacities:
     def __post_init__(self):
         if min(self.bbu, self.fap, self.fue) < 0:
             raise ValueError("capacities must be non-negative")
-
-    def for_role(self, role: NodeRole) -> int:
-        if role is NodeRole.BBU_POOL:
-            return self.bbu
-        if role is NodeRole.FAP:
-            return self.fap
-        if role is NodeRole.FUE:
-            return self.fue
-        return 0
 
 
 class Catalog:
@@ -96,13 +77,22 @@ class Topology:
                 "need at least one access point and one device per access point"
             )
         self.d2d_enabled = d2d_enabled
+        n_fues = sum(fues_per_fap)
         self._faps = list(range(2, 2 + n_faps))
-        self._fues = list(range(2 + n_faps, 2 + n_faps + sum(fues_per_fap)))
+        self._fues = list(range(2 + n_faps, 2 + n_faps + n_fues))
         self.roles = (
             [NodeRole.PRODUCER, NodeRole.BBU_POOL]
             + [NodeRole.FAP] * n_faps
-            + [NodeRole.FUE] * len(self._fues)
+            + [NodeRole.FUE] * n_fues
         )
+        # The producer serves every content itself and keeps no store.
+        self.capacity = (
+            [0, capacities.bbu]
+            + [capacities.fap] * n_faps
+            + [capacities.fue] * n_fues
+        )
+        # Hops from the core: each tier is one further out.
+        self.hop_from_core = [0, 1] + [2] * n_faps + [3] * n_fues
         self.parent: list[NodeId | None] = [None, 0] + [1] * n_faps
         self._children: list[list[NodeId]] = [[1], list(self._faps)]
         first = self._fues[0]
@@ -111,12 +101,10 @@ class Topology:
             self._children.append(list(range(first, first + count)))
             first += count
         self._children += [[] for _ in self._fues]
-        self.capacity = [capacities.for_role(r) for r in self.roles]
-        self.hop_from_core = [HOP_FROM_CORE[r] for r in self.roles]
         self.labels = (
             ["producer", "bbu"]
             + [f"fap{i}" for i in range(1, n_faps + 1)]
-            + [f"fue{i}" for i in range(1, len(self._fues) + 1)]
+            + [f"fue{i}" for i in range(1, n_fues + 1)]
         )
         self.label_to_id = {lab: i for i, lab in enumerate(self.labels)}
 

@@ -11,6 +11,11 @@ with the engine:
   probability proportional to the product of p_i over S;
 - LRU (King 1971): the ordered pair (i, j), i the most recent, has
   stationary probability p_i p_j / (1 - p_i).
+
+The check runs at two Zipf exponents.  At 0.8 the FIFO and LRU values
+lie about 2 standard errors apart, so an LRU that never refreshed on a
+hit would pass as FIFO; at 1.2 they lie about 16 apart, and that LRU
+fails.
 """
 
 import itertools
@@ -76,14 +81,22 @@ def test_closed_forms_match_the_store_chain(policy):
     )
 
 
-@pytest.mark.parametrize("policy", ["fifo", "lru"])
-def test_device_store_hit_ratio_matches_irm_theory(policy):
+@pytest.mark.parametrize(
+    "policy,exponent",
+    [
+        pytest.param("fifo", 0.8, id="fifo"),
+        pytest.param("lru", 0.8, id="lru"),
+        pytest.param("fifo", 1.2, id="fifo-steep"),
+        pytest.param("lru", 1.2, id="lru-steep"),
+    ],
+)
+def test_device_store_hit_ratio_matches_irm_theory(policy, exponent):
     caps = Capacities(bbu=8, fap=4, fue=2)
     topo = build_topology(5, 6, caps, d2d_enabled=False)
     devices = set(topo.fues())
     ratios = []
     for seed in range(10):
-        spec = ZipfSpec(exponent=0.8, catalog_size=100, seed=seed)
+        spec = ZipfSpec(exponent=exponent, catalog_size=100, seed=seed)
         requests = dict.fromkeys(devices, 0)
         hits = dict.fromkeys(devices, 0)
 
@@ -101,11 +114,12 @@ def test_device_store_hit_ratio_matches_irm_theory(policy):
         sim.run_schedule(build_schedule(spec, topo.fues()))
         ratios += [hits[u] / requests[u] for u in sorted(devices)]
 
-    exact = exact_hit_ratio(policy, zipf_pmf(0.8, 100))
+    exact = exact_hit_ratio(policy, zipf_pmf(exponent, 100))
     mean = statistics.fmean(ratios)
     stderr = statistics.stdev(ratios) / math.sqrt(len(ratios))
     print(
-        f"{policy}: simulated {mean:.5f}, exact {exact:.5f}, "
-        f"standard error {stderr:.5f}, z {(mean - exact) / stderr:+.2f}"
+        f"{policy} at exponent {exponent}: simulated {mean:.5f}, "
+        f"exact {exact:.5f}, standard error {stderr:.5f}, "
+        f"z {(mean - exact) / stderr:+.2f}"
     )
     assert abs(mean - exact) <= Z_BOUND * stderr
