@@ -1,6 +1,7 @@
 """Discrete-event simulator for named-data caching in fog radio
 access networks, with an exact offline placement oracle."""
 
+from .config import ScenarioConfig
 from .engine import MetricsReport, Simulation, run_single, sweep
 from .policies import PolicyConfig, ScoreRule
 from .topology import Capacities, Catalog, Topology, build_topology
@@ -11,6 +12,7 @@ __all__ = [
     "Catalog",
     "MetricsReport",
     "PolicyConfig",
+    "ScenarioConfig",
     "ScoreRule",
     "Simulation",
     "Topology",

@@ -16,7 +16,6 @@ import csv
 import json
 import sys
 from contextlib import ExitStack, contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 from . import engine, plotting
@@ -29,11 +28,12 @@ from .oracle import (
     verify_linearization,
 )
 from .policies import POLICY_NAMES
-from .topology import Catalog, Topology, build_topology
+from .topology import Topology
+# Not called here: perfbench/spans.py patches this name in this module.
 from .workload import build_schedule
 
 CSV_COLUMNS = tuple(
-    engine.metrics_row("", 0, False, 0, engine.MetricsReport())
+    engine.metrics_row(ScenarioConfig(), 0, engine.MetricsReport())
 )
 
 EXIT_OK = 0
@@ -68,15 +68,6 @@ def _write_csv(path: str, rows) -> None:
             writer.writerow(_format_row(row))
 
 
-def _build_topology(cfg: ScenarioConfig) -> Topology:
-    try:
-        return build_topology(
-            cfg.n_faps, cfg.fues_per_fap, cfg.capacities, cfg.d2d_enabled
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _trace_path(base: str, seed: int, many: bool) -> str:
     if not many:
         return base
@@ -95,14 +86,9 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.output:
         cfg.output = args.output
-    topo = _build_topology(cfg)
-    catalog = Catalog(cfg.zipf.catalog_size)
-    n_fues = len(topo.fues())
 
     def rows():
         for seed in cfg.seeds:
-            zipf = replace(cfg.zipf, seed=seed)
-            schedule = build_schedule(zipf, topo.fues())
             with ExitStack() as files:
                 trace = None
                 if cfg.trace:
@@ -110,19 +96,10 @@ def cmd_run(args) -> int:
                         cfg.trace_output, seed, len(cfg.seeds) > 1
                     )
                     trace = _trace_writer(files.enter_context(_writing(path)))
-                sim = engine.Simulation(
-                    topo,
-                    catalog,
-                    cfg.policy,
-                    cfg.policy_config,
-                    debug=args.debug,
-                    cache_d2d_data=cfg.cache_d2d_data,
-                    trace=trace,
+                report = engine.run_single(
+                    cfg, seed, debug=args.debug, trace=trace
                 )
-                report = sim.run_schedule(schedule)
-            yield engine.metrics_row(
-                cfg.policy, n_fues, cfg.d2d_enabled, seed, report
-            )
+            yield engine.metrics_row(cfg, seed, report)
 
     _write_csv(cfg.output, rows())
     print(f"wrote {len(cfg.seeds)} rows to {cfg.output}")
@@ -176,17 +153,8 @@ def cmd_sweep(args) -> int:
         "both": (False, True), "off": (False,), "on": (True,),
     }[args.d2d]
     rows = engine.sweep(
-        fue_counts,
-        policies,
-        d2d_options,
-        cfg.seeds,
-        n_faps=cfg.n_faps,
-        capacities=cfg.capacities,
-        zipf=cfg.zipf,
-        policy_config=cfg.policy_config,
-        cache_d2d_data=cfg.cache_d2d_data,
-        debug=args.debug,
-        n_jobs=args.jobs,
+        cfg, fue_counts, policies, d2d_options,
+        debug=args.debug, n_jobs=args.jobs,
     )
     _write_csv(cfg.output, rows)
     print(f"wrote {len(rows)} rows to {cfg.output}")
@@ -213,6 +181,11 @@ def load_demand_csv(path: str, topo: Topology) -> DemandSpec:
                     f"demand table {path} must have columns name,fue,rate"
                 )
             for line in reader:
+                if None in line or None in line.values():
+                    raise ConfigError(
+                        f"bad demand table {path}, line {reader.line_num}: "
+                        "expected the three fields name,fue,rate"
+                    )
                 fue = _node_id(line["fue"], topo)
                 base[(line["name"].strip(), fue)] = float(line["rate"])
     except OSError as exc:
@@ -229,18 +202,26 @@ def demand_from_trace(path: str, topo: Topology) -> DemandSpec:
     counts: dict[tuple[str, int], float] = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, 1):
                 line = line.strip()
                 if not line:
                     continue
                 record = json.loads(line)
-                if (
-                    record.get("kind") == "interest"
-                    and record.get("node") in fues
-                    and record.get("outcome") in ("own-hit", "forwarded")
-                ):
-                    key = (record["name"], record["node"])
-                    counts[key] = counts.get(key, 0.0) + 1.0
+                if not isinstance(record, dict):
+                    raise ConfigError(
+                        f"bad trace {path}, line {number}: not a JSON object"
+                    )
+                issued = record.get("outcome") in ("own-hit", "forwarded")
+                if record.get("kind") != "interest" or not issued:
+                    continue
+                node, name = record.get("node"), record.get("name")
+                if type(node) is not int or not isinstance(name, str):
+                    raise ConfigError(
+                        f"bad trace {path}, line {number}: a request record "
+                        "needs an integer node and a string name"
+                    )
+                if node in fues:
+                    counts[(name, node)] = counts.get((name, node), 0.0) + 1.0
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read trace {path}: {exc}") from exc
     return DemandSpec(counts)
@@ -254,8 +235,7 @@ def _node_id(text: str, topo: Topology) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = load_config(args.config)
-    topo = _build_topology(cfg)
+    topo = load_config(args.config).topology()
     if args.demand:
         demand = load_demand_csv(args.demand, topo)
     elif args.demand_from_trace:

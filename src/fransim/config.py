@@ -38,7 +38,7 @@ import yaml
 
 from .errors import ConfigError
 from .policies import POLICY_NAMES, PolicyConfig
-from .topology import Capacities
+from .topology import Capacities, Topology
 from .workload import ZipfSpec
 
 _TOPOLOGY_KEYS = {
@@ -50,6 +50,8 @@ _TOP_KEYS = {"topology", "workload", "policy", "run"}
 
 @dataclass
 class ScenarioConfig:
+    """One scenario's settings; with a seed, the unit of every run."""
+
     fues_per_fap: list[int] = field(default_factory=lambda: [6] * 5)
     capacities: Capacities = field(default_factory=Capacities)
     d2d_enabled: bool = False
@@ -65,6 +67,10 @@ class ScenarioConfig:
     @property
     def n_faps(self) -> int:
         return len(self.fues_per_fap)
+
+    def topology(self) -> Topology:
+        """The tree; ``ValueError`` if the device counts make none."""
+        return Topology(self.fues_per_fap, self.capacities, self.d2d_enabled)
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -192,4 +198,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
     cfg.trace = _typed(run, "trace", cfg.trace, "run")
     cfg.output = _typed(run, "output", cfg.output, "run")
     cfg.trace_output = _typed(run, "trace_output", cfg.trace_output, "run")
+    try:
+        cfg.topology()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg

@@ -25,16 +25,16 @@ conservation checks.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import multiprocessing
 import os
 from dataclasses import dataclass, field, replace
 
+from .config import ScenarioConfig
 from .errors import InvariantViolation
 from .policies import PolicyConfig, ScoreRule, POLICY_NAMES
-from .topology import Capacities, Catalog, Topology, build_topology, distribute_fues
-from .workload import ZipfSpec, build_schedule
+from .topology import Catalog, Topology, distribute_fues
+from .workload import build_schedule
 
 TIER_KEYS = ("own_cs", "d2d", "fap", "bbu", "producer")
 
@@ -410,45 +410,32 @@ class Simulation:
 
 
 def run_single(
-    policy: str,
-    n_fues: int,
-    d2d: bool,
-    seed: int,
-    *,
-    n_faps: int = 5,
-    capacities: Capacities | None = None,
-    zipf: ZipfSpec | None = None,
-    policy_config: PolicyConfig | None = None,
-    cache_d2d_data: bool = False,
-    debug: bool = False,
-    trace=None,
+    cfg: ScenarioConfig, seed: int, *, debug: bool = False, trace=None
 ) -> MetricsReport:
-    """Build one scenario and run it."""
-    capacities = capacities or Capacities()
-    zipf = replace(zipf or ZipfSpec(), seed=seed)
-    topo = build_topology(
-        n_faps, distribute_fues(n_fues, n_faps), capacities, d2d
-    )
-    catalog = Catalog(zipf.catalog_size)
+    """Build the scenario ``cfg`` describes and replay it at ``seed``."""
+    topo = cfg.topology()
+    zipf = replace(cfg.zipf, seed=seed)
+    # Before the stores exist, so collections during the build skip
+    # the per-node rate lists.
     schedule = build_schedule(zipf, topo.fues())
     sim = Simulation(
         topo,
-        catalog,
-        policy,
-        policy_config,
+        Catalog(zipf.catalog_size),
+        cfg.policy,
+        cfg.policy_config,
         debug=debug,
-        cache_d2d_data=cache_d2d_data,
+        cache_d2d_data=cfg.cache_d2d_data,
         trace=trace,
     )
     return sim.run_schedule(schedule)
 
 
-def metrics_row(policy, n_fues, d2d, seed, report: MetricsReport) -> dict:
+def metrics_row(cfg: ScenarioConfig, seed: int, report: MetricsReport) -> dict:
     tiers = report.hits_by_tier
     return {
-        "policy": policy,
-        "n_fues": n_fues,
-        "d2d": d2d,
+        "policy": cfg.policy,
+        "n_fues": sum(cfg.fues_per_fap),
+        "d2d": cfg.d2d_enabled,
         "seed": seed,
         "avg_hops": report.avg_hops,
         "cache_hits": report.in_network_cache_hits,
@@ -462,49 +449,52 @@ def metrics_row(policy, n_fues, d2d, seed, report: MetricsReport) -> dict:
     }
 
 
-def _run_cell(cell, **shared) -> dict:
-    policy, n_fues, d2d, seed = cell
-    report = run_single(policy, n_fues, d2d, seed, **shared)
-    return metrics_row(policy, n_fues, d2d, seed, report)
+def _run_cell(cell) -> dict:
+    cfg, seed, debug = cell
+    return metrics_row(cfg, seed, run_single(cfg, seed, debug=debug))
 
 
 def sweep(
+    cfg: ScenarioConfig,
     fue_counts,
     policies=POLICY_NAMES,
     d2d_options=(False, True),
-    seeds=range(10),
     *,
-    n_faps: int = 5,
-    capacities: Capacities | None = None,
-    zipf: ZipfSpec | None = None,
-    policy_config: PolicyConfig | None = None,
-    cache_d2d_data: bool = False,
     debug: bool = False,
     n_jobs: int = 1,
 ) -> list[dict]:
-    """Run the full factorial grid and return one metrics row per run.
+    """Run the factorial grid around ``cfg`` and return one metrics row
+    per run.
 
-    The request schedule for a cell depends only on (seed, n_fues), so
-    every policy and D2D setting sees identical workloads.  Rows come
-    back sorted by (policy, n_fues, d2d, seed) regardless of n_jobs.
-    The pool never has more workers than cells or CPUs; with one, the
-    grid runs serially in this process.
+    Each cell is ``cfg`` with its policy, device count (spread evenly
+    over ``cfg``'s access points) and D2D setting replaced, run at each
+    of ``cfg.seeds``.  The request schedule for a cell depends only on
+    (seed, device count), so every policy and D2D setting sees
+    identical workloads.  Rows come back sorted by (policy, n_fues,
+    d2d, seed) regardless of n_jobs.  The pool never has more workers
+    than cells or CPUs; with one, the grid runs serially in this
+    process.
     """
-    run_cell = functools.partial(
-        _run_cell,
-        n_faps=n_faps,
-        capacities=capacities,
-        zipf=zipf,
-        policy_config=policy_config,
-        cache_d2d_data=cache_d2d_data,
-        debug=debug,
-    )
-    cells = list(itertools.product(policies, fue_counts, d2d_options, seeds))
+    cells = [
+        (
+            replace(
+                cfg,
+                policy=policy,
+                fues_per_fap=distribute_fues(n_fues, cfg.n_faps),
+                d2d_enabled=d2d,
+            ),
+            seed,
+            debug,
+        )
+        for policy, n_fues, d2d, seed in itertools.product(
+            policies, fue_counts, d2d_options, cfg.seeds
+        )
+    ]
     n_jobs = min(n_jobs, len(cells), os.cpu_count() or 1)
     if n_jobs > 1:
         with multiprocessing.Pool(n_jobs) as pool:
-            rows = pool.map(run_cell, cells)
+            rows = pool.map(_run_cell, cells)
     else:
-        rows = [run_cell(cell) for cell in cells]
+        rows = [_run_cell(cell) for cell in cells]
     rows.sort(key=lambda r: (r["policy"], r["n_fues"], r["d2d"], r["seed"]))
     return rows

@@ -17,6 +17,7 @@ maps; missing keys mean 0.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import InstanceTooLarge
@@ -49,8 +50,11 @@ class DemandSpec:
                     f"demand for {name!r} at node {fue}, which is not "
                     "user equipment"
                 )
-            if rate < 0:
-                raise ValueError(f"negative demand rate for {name!r} at {fue}")
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(
+                    f"demand rate for {name!r} at {fue} must be finite and "
+                    f"non-negative, got {rate}"
+                )
 
 
 def caching_nodes(topo: Topology) -> list[NodeId]:

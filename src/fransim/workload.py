@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .topology import NodeId
+from .topology import Catalog, NodeId
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def build_schedule(
     the spec and the device ids, never on caching behaviour, so paired
     experiments see identical request streams.
     """
-    names = [f"c{r}" for r in range(1, spec.catalog_size + 1)]
+    names = Catalog(spec.catalog_size).names
     per_fue: dict[NodeId, list[str]] = {}
     for fue in fue_ids:
         ranks = sample_ranks(

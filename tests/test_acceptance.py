@@ -17,6 +17,7 @@ import pytest
 import scipy.stats
 
 from fransim.cli import EXIT_OK, main
+from fransim.config import ScenarioConfig
 from fransim.engine import Simulation, sweep
 from fransim.oracle import (
     DemandSpec,
@@ -35,7 +36,7 @@ GRID_SEEDS = range(10)
 @pytest.fixture(scope="module")
 def paper_grid():
     start = time.perf_counter()
-    rows = sweep(GRID_COUNTS, POLICY_NAMES, (False, True), GRID_SEEDS)
+    rows = sweep(ScenarioConfig(seeds=list(GRID_SEEDS)), GRID_COUNTS)
     elapsed = time.perf_counter() - start
     return rows, elapsed
 
@@ -43,7 +44,7 @@ def paper_grid():
 @pytest.fixture(scope="module")
 def debug_grid():
     return sweep(
-        GRID_COUNTS, POLICY_NAMES, (False, True), GRID_SEEDS, debug=True
+        ScenarioConfig(seeds=list(GRID_SEEDS)), GRID_COUNTS, debug=True
     )
 
 

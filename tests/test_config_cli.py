@@ -327,13 +327,24 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "rate weights must be non-negative with a positive sum" in err
 
 
-def test_run_rejects_unbuildable_topology(tmp_path):
+def test_run_rejects_unbuildable_topology(tmp_path, capsys):
     cfg = write(tmp_path, "bad.yaml", """\
         topology:
           n_faps: 2
           fues_per_fap: [1, 0]
         """)
-    assert main(["run", cfg]) == EXIT_CONFIG
+    out = str(tmp_path / "m.csv")
+    for argv in (
+        ["run", cfg, "--output", out],
+        # The grid sets the device counts itself, but the file must
+        # still describe a tree.
+        ["sweep", cfg, "--fues", "2", "--output", out],
+        ["oracle", cfg, "--demand", str(tmp_path / "demand.csv")],
+    ):
+        assert main(argv) == EXIT_CONFIG, argv[0]
+        err = capsys.readouterr().err
+        assert "one device per access point" in err, argv[0]
+    assert not (tmp_path / "m.csv").exists()
 
 
 # -- sweep command ----------------------------------------------------------
@@ -652,6 +663,37 @@ def test_oracle_rejects_demand_at_unknown_node_ids(tmp_path, capsys, row):
     demand = write(tmp_path, "d.csv", f"name,fue,rate\n{row}\n")
     assert main(["oracle", cfg, "--demand", demand]) == EXIT_CONFIG
     assert "not in the topology" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_oracle_rejects_nonfinite_rates(tmp_path, capsys, rate):
+    cfg, _ = oracle_setup(tmp_path)
+    demand = write(tmp_path, "d.csv", f"name,fue,rate\nc1,fue1,{rate}\n"
+                   "c2,fue2,1\n")
+    assert main(["oracle", cfg, "--demand", demand]) == EXIT_CONFIG
+    assert "must be finite and non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source,text,message", [
+    ("--demand", "name,fue,rate\nc1,fue1\n", "expected the three fields"),
+    ("--demand-from-trace", "5\n", "not a JSON object"),
+    ("--demand-from-trace",
+     '{"kind": "interest", "node": 4, "outcome": "own-hit"}\n',
+     "needs an integer node and a string name"),
+    ("--demand-from-trace",
+     '{"kind": "interest", "node": [4], "name": "c1", "outcome": "own-hit"}\n',
+     "needs an integer node and a string name"),
+], ids=["short-demand-row", "trace-not-an-object", "trace-without-name",
+        "trace-list-node"])
+def test_oracle_rejects_malformed_inputs(tmp_path, capsys, source, text,
+                                         message):
+    cfg, _ = oracle_setup(tmp_path)
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["oracle", cfg, source, str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err
+    assert f"{path}, line " in err
 
 
 def test_demand_csv_schema_is_strict(tmp_path):

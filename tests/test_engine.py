@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from fransim import engine
+from fransim.config import ScenarioConfig
 from fransim.engine import Simulation, metrics_row, run_single, sweep
 from fransim.errors import InvariantViolation
 from fransim.policies import PolicyConfig, ScoreRule
@@ -176,8 +179,9 @@ def test_refresh_halves_idle_rates():
 # -- metrics identities -----------------------------------------------------
 
 def test_metric_identities_hold():
-    report = run_single("rate-hop", 6, True, seed=1,
-                        zipf=ZipfSpec(interests_per_fue=200), n_faps=2)
+    cfg = ScenarioConfig(fues_per_fap=[3, 3], d2d_enabled=True,
+                         zipf=ZipfSpec(interests_per_fue=200))
+    report = run_single(cfg, seed=1)
     tiers = report.hits_by_tier
     assert sum(tiers.values()) == report.total_interests == 1200
     assert report.in_network_cache_hits == (
@@ -198,27 +202,26 @@ def test_empty_report_avg_hops():
 # -- determinism and sweep --------------------------------------------------
 
 def test_identical_runs_identical_reports_and_traces():
+    cfg = ScenarioConfig(fues_per_fap=[1] * 5, d2d_enabled=True,
+                         zipf=ZipfSpec(interests_per_fue=150))
     traces = []
     reports = []
     for _ in range(2):
         trace: list[dict] = []
-        reports.append(
-            run_single(
-                "rate-hop", 5, True, seed=3,
-                zipf=ZipfSpec(interests_per_fue=150), trace=trace,
-            )
-        )
+        reports.append(run_single(cfg, seed=3, trace=trace))
         traces.append(trace)
     assert reports[0] == reports[1]
     assert traces[0] == traces[1]
 
 
-SMALL_ZIPF = ZipfSpec(interests_per_fue=100)
+def small(seeds):
+    return ScenarioConfig(zipf=ZipfSpec(interests_per_fue=100),
+                          seeds=list(seeds))
 
 
 def test_sweep_grid_shape_and_order():
-    rows = sweep([5, 10], ("fifo", "rate-hop"), (False, True), range(2),
-                 zipf=SMALL_ZIPF)
+    rows = sweep(small(range(2)), [5, 10], ("fifo", "rate-hop"),
+                 (False, True))
     assert len(rows) == 2 * 2 * 2 * 2
     keys = [(r["policy"], r["n_fues"], r["d2d"], r["seed"]) for r in rows]
     assert keys == sorted(keys)
@@ -226,14 +229,16 @@ def test_sweep_grid_shape_and_order():
 
 
 def test_single_cell_sweep_matches_direct_run():
-    rows = sweep([6], ("lru",), (True,), [4], zipf=SMALL_ZIPF)
-    report = run_single("lru", 6, True, 4, zipf=SMALL_ZIPF)
-    assert rows == [metrics_row("lru", 6, True, 4, report)]
+    rows = sweep(small([4]), [6], ("lru",), (True,))
+    cfg = replace(small([4]), policy="lru", fues_per_fap=[2, 1, 1, 1, 1],
+                  d2d_enabled=True)
+    report = run_single(cfg, 4)
+    assert rows == [metrics_row(cfg, 4, report)]
 
 
 def test_sweep_policy_order_is_irrelevant():
-    a = sweep([5], ("fifo", "lru"), (False,), [0], zipf=SMALL_ZIPF)
-    b = sweep([5], ("lru", "fifo"), (False,), [0], zipf=SMALL_ZIPF)
+    a = sweep(small([0]), [5], ("fifo", "lru"), (False,))
+    b = sweep(small([0]), [5], ("lru", "fifo"), (False,))
     assert a == b
 
 
@@ -262,17 +267,16 @@ def test_sweep_bounds_its_pool(monkeypatch, jobs, cpus, seeds, workers):
 
     monkeypatch.setattr(engine.multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
-    rows = sweep([5], ("fifo",), (False,), range(seeds), zipf=SMALL_ZIPF,
-                 n_jobs=jobs)
+    rows = sweep(small(range(seeds)), [5], ("fifo",), (False,), n_jobs=jobs)
     assert len(rows) == seeds
     assert started == ([workers] if workers else [])
 
 
 def test_parallel_sweep_matches_serial():
-    grid = dict(fue_counts=[5, 6], policies=("fifo", "rate-hop"),
-                d2d_options=(False, True), seeds=[0, 1])
-    serial = sweep(**grid, zipf=SMALL_ZIPF, n_jobs=1)
-    parallel = sweep(**grid, zipf=SMALL_ZIPF, n_jobs=2)
+    grid = dict(cfg=small([0, 1]), fue_counts=[5, 6],
+                policies=("fifo", "rate-hop"), d2d_options=(False, True))
+    serial = sweep(**grid, n_jobs=1)
+    parallel = sweep(**grid, n_jobs=2)
     assert serial == parallel
 
 
