@@ -171,6 +171,7 @@ def cmd_sweep(args) -> int:
 def load_demand_csv(path: str, topo: Topology) -> DemandSpec:
     """Read a (name, fue, rate) table; devices by label or node id."""
     base: dict[tuple[str, int], float] = {}
+    first_line: dict[tuple[str, int], int] = {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             reader = csv.DictReader(handle)
@@ -186,8 +187,15 @@ def load_demand_csv(path: str, topo: Topology) -> DemandSpec:
                         f"bad demand table {path}, line {reader.line_num}: "
                         "expected the three fields name,fue,rate"
                     )
-                fue = _node_id(line["fue"], topo)
-                base[(line["name"].strip(), fue)] = float(line["rate"])
+                key = (line["name"].strip(), _node_id(line["fue"], topo))
+                if key in first_line:
+                    raise ConfigError(
+                        f"bad demand table {path}, lines {first_line[key]} "
+                        f"and {reader.line_num}: both give content "
+                        f"{key[0]} at device {line['fue'].strip()}"
+                    )
+                first_line[key] = reader.line_num
+                base[key] = float(line["rate"])
     except OSError as exc:
         raise ConfigError(f"cannot read demand table {path}: {exc}") from exc
     except ValueError as exc:

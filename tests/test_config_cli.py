@@ -674,6 +674,19 @@ def test_oracle_rejects_nonfinite_rates(tmp_path, capsys, rate):
     assert "must be finite and non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("second", ["fue1", "by-id"])
+def test_oracle_rejects_duplicate_demand_rows(tmp_path, capsys, second):
+    cfg, _ = oracle_setup(tmp_path)
+    u1 = build_topology(2, [1, 1], Capacities(2, 1, 0)).fues()[0]
+    device = u1 if second == "by-id" else second
+    demand = write(tmp_path, "d.csv",
+                   f"name,fue,rate\nc1,fue1,1\nc1,{device},5\n")
+    assert main(["oracle", cfg, "--demand", demand]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "optimal" not in captured.out
+    assert f"{demand}, lines 2 and 3" in captured.err
+
+
 @pytest.mark.parametrize("source,text,message", [
     ("--demand", "name,fue,rate\nc1,fue1\n", "expected the three fields"),
     ("--demand-from-trace", "5\n", "not a JSON object"),

@@ -6,7 +6,7 @@ from fransim import engine
 from fransim.config import ScenarioConfig
 from fransim.engine import Simulation, metrics_row, run_single, sweep
 from fransim.errors import InvariantViolation
-from fransim.policies import PolicyConfig, ScoreRule
+from fransim.policies import PolicyConfig, ScoreRule, refreshed_rate
 from fransim.topology import Capacities, Catalog, build_topology
 from fransim.workload import ZipfSpec, build_schedule
 
@@ -139,6 +139,14 @@ def test_seed_rate_requires_rate_policy():
     assert sim.rate_of(topo.bbu(), "c1") == 0.0
 
 
+@pytest.mark.parametrize("rate", [-1.0, float("nan")])
+def test_seed_rate_must_be_nonnegative(rate):
+    topo = chain((1, 1, 1))
+    sim = Simulation(topo, Catalog(2), "rate-hop")
+    with pytest.raises(ValueError, match="non-negative"):
+        sim.seed_rate(topo.bbu(), "c1", rate)
+
+
 # -- refresh ticks ---------------------------------------------------------
 
 def test_ticks_fire_before_same_time_arrivals():
@@ -174,6 +182,24 @@ def test_refresh_halves_idle_rates():
     assert sim.rate_of(fue, "c1") == 1.0
     sim.tick(20.0)  # idle window: (0 + 1)/2
     assert sim.rate_of(fue, "c1") == 0.5
+
+
+def test_idle_rate_decays_to_exactly_zero_then_is_tracked_again():
+    topo = chain((0, 0, 0))
+    sim = Simulation(topo, Catalog(2), "rate-hop", debug=True)
+    fue = topo.fues()[0]
+    sim.seed_rate(fue, "c1", 1.0)
+    expected = 1.0
+    for step in range(1, 1101):  # halving 1.0 underflows after 1075
+        sim.tick(float(step))
+        expected = refreshed_rate(1.0, 1.0, 0, expected)
+        assert sim.rate_of(fue, "c1").hex() == expected.hex()
+    assert expected == 0.0
+    assert not sim._live[fue]  # the zero rate left the live set
+    sim.request(fue, "c1", 1100.5)  # window 1 and a bump to 1 everywhere
+    sim.tick(1101.0)
+    for node in topo.upstream_path(fue)[:3]:  # device, F-AP, BBU
+        assert sim.rate_of(node, "c1") == refreshed_rate(1.0, 1.0, 1, 1.0)
 
 
 # -- metrics identities -----------------------------------------------------
@@ -397,6 +423,27 @@ def test_debug_detects_unsolicited_data():
     topo, sim = debug_sim()
     with pytest.raises(InvariantViolation, match="unsolicited"):
         sim._consume(topo.bbu(), 0)
+
+
+def test_debug_detects_rate_bump_outside_live_set():
+    topo = chain((0, 0, 0))
+    sim = Simulation(topo, Catalog(2), "rate-hop", debug=True)
+    fue = topo.fues()[0]
+    sim.request(fue, "c1", 0.0)
+    sim._live[fue].clear()  # the window count stays 1, so no re-add
+    with pytest.raises(InvariantViolation, match="live set"):
+        sim.request(fue, "c1", 1.0)
+
+
+def test_debug_detects_d2d_rate_bump_outside_live_set():
+    topo = build_topology(1, [2], Capacities(bbu=0, fap=0, fue=1), True)
+    sim = Simulation(topo, Catalog(2), "rate-hop", debug=True)
+    u1, u2 = topo.fues()
+    sim.request(u2, "c1", 0.0)  # u2 caches c1
+    sim.request(u1, "c1", 1.0)  # served by u2 over D2D
+    sim._live[u1].clear()
+    with pytest.raises(InvariantViolation, match="live set"):
+        sim.request(u1, "c1", 2.0)
 
 
 def test_final_check_flags_leftover_pending_state():
