@@ -75,10 +75,33 @@ def _trace_path(base: str, seed: int, many: bool) -> str:
     return str(path.with_name(f"{path.stem}_seed{seed}{path.suffix}"))
 
 
+# One trace record, keys in sorted order; see ``_trace_writer``.
+_TRACE_LINE = (
+    '{"kind": "%s", "name": %s, "node": %s, "outcome": "%s", "seq": %d, '
+    '"time": %r}\n'
+)
+
+
 def _trace_writer(handle):
-    """A trace sink writing each record as one key-sorted JSON line."""
+    """A trace sink writing each record as one key-sorted JSON line.
+
+    Byte-identical to ``json.dumps(record, sort_keys=True)``: records
+    have six fixed keys, names ``c<k>`` and ASCII kinds and outcomes need
+    no escaping, and ``%r`` of a finite int or float time is its JSON form.
+    """
+    write = handle.write
+
     def emit(record: dict) -> None:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
+        name = record["name"]
+        node = record["node"]
+        write(_TRACE_LINE % (
+            record["kind"],
+            "null" if name is None else '"' + name + '"',
+            "null" if node is None else node,
+            record["outcome"],
+            record["seq"],
+            record["time"],
+        ))
     return emit
 
 

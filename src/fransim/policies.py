@@ -14,6 +14,7 @@ expensive to re-fetch is retained.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,8 +38,10 @@ class PolicyConfig:
     score_rule: ScoreRule = ScoreRule.RATE_TIMES_FETCH_HOPS
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError("refresh period tau must be positive")
+        if not math.isfinite(self.tau) or self.tau <= 0:
+            raise ConfigError("refresh period tau must be finite and positive")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ConfigError("rate weights must be finite")
         if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta == 0:
             raise ConfigError(
                 "rate weights must be non-negative with a positive sum"

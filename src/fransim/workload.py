@@ -8,6 +8,7 @@ devices and adding devices never perturbs existing ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +26,14 @@ class ZipfSpec:
     inter_arrival: float = 1.0
 
     def __post_init__(self):
-        if self.exponent < 0:
-            raise ConfigError("zipf exponent must be non-negative")
+        if not math.isfinite(self.exponent) or self.exponent < 0:
+            raise ConfigError("zipf exponent must be finite and non-negative")
         if self.catalog_size < 1:
             raise ConfigError("catalog size must be positive")
         if self.interests_per_fue < 1:
             raise ConfigError("interests per device must be positive")
-        if self.inter_arrival <= 0:
-            raise ConfigError("inter-arrival time must be positive")
+        if not math.isfinite(self.inter_arrival) or self.inter_arrival <= 0:
+            raise ConfigError("inter-arrival time must be finite and positive")
 
 
 def zipf_pmf(exponent: float, catalog_size: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 import csv
+import io
 import json
 import textwrap
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fransim import engine, plotting
 from fransim.cli import (
@@ -14,6 +16,7 @@ from fransim.cli import (
     _node_id,
     _parse_fues,
     _trace_path,
+    _trace_writer,
     demand_from_trace,
     load_demand_csv,
     main,
@@ -283,27 +286,61 @@ def test_run_debug_mode_changes_nothing(tmp_path):
 
 
 def test_run_writes_per_seed_traces(tmp_path):
+    # Every line is checked against json itself, not the trace encoder.
     trace_base = tmp_path / "events.jsonl"
     cfg = write(tmp_path, "t.yaml", RUN_YAML.replace(
+        "d2d_enabled: true", "d2d_enabled: true\n      cache_d2d_data: true",
+    ).replace(
+        "interests_per_fue: 50", "interests_per_fue: 60",
+    ).replace(
         "seeds: [0, 1]",
         f"seeds: [0, 1]\n      trace: true\n"
         f"      trace_output: {trace_base}",
     ))
-    out = str(tmp_path / "m.csv")
-    assert main(["run", cfg, "--output", out]) == EXIT_OK
+    assert main(["run", cfg, "--output", str(tmp_path / "m.csv")]) == EXIT_OK
     for seed in (0, 1):
         path = tmp_path / f"events_seed{seed}.jsonl"
-        assert path.exists()
-        records = [
-            json.loads(line) for line in path.read_text().splitlines()
-        ]
-        assert records
-        kinds = {r["kind"] for r in records}
-        assert "interest" in kinds
-        assert kinds <= {"interest", "data", "tick"}
-        # keys are sorted for stable diffs
-        first = path.read_text().splitlines()[0]
-        assert list(json.loads(first)) == sorted(json.loads(first))
+        with open(path, encoding="utf-8", newline="") as handle:
+            lines = handle.readlines()
+        seen = set()
+        for line in lines:
+            record = json.loads(line)
+            assert line == json.dumps(record, sort_keys=True) + "\n"
+            seen.add((record["kind"], record["outcome"]))
+        assert seen == {
+            ("interest", "own-hit"), ("interest", "d2d"),
+            ("interest", "cs-hit"), ("interest", "forwarded"),
+            ("interest", "origin"), ("data", "arrived"),
+            ("data", "delivered"), ("tick", "refresh"),
+        }
+        ticks = [line for line in lines if '"kind": "tick"' in line]
+        assert len(ticks) == 5
+
+
+TRACE_RECORDS = st.fixed_dictionaries({
+    "kind": st.sampled_from(["interest", "data", "tick"]),
+    "outcome": st.sampled_from([
+        "own-hit", "d2d", "cs-hit", "forwarded", "origin", "arrived",
+        "delivered", "refresh",
+    ]),
+    "name": st.none() | st.integers(min_value=1).map(lambda k: f"c{k}"),
+    "node": st.none() | st.integers(min_value=0),
+    "seq": st.integers(),
+    "time": st.integers()
+    | st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+    | st.sampled_from([5e-324, 1e16, 0.1 * 3]),
+})
+
+
+@given(st.lists(TRACE_RECORDS, max_size=5))
+def test_trace_writer_equals_sorted_json_dumps(records):
+    out = io.StringIO()
+    emit = _trace_writer(out)
+    for record in records:
+        emit(record)
+    assert out.getvalue() == "".join(
+        json.dumps(record, sort_keys=True) + "\n" for record in records
+    )
 
 
 def test_single_seed_trace_keeps_plain_name(tmp_path):
@@ -325,6 +362,25 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert main(["run", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "rate weights must be non-negative with a positive sum" in err
+
+
+@pytest.mark.parametrize("value", [".inf", ".nan"])
+@pytest.mark.parametrize("block, key", [
+    ("workload", "exponent"), ("workload", "inter_arrival"),
+    ("policy", "tau"), ("policy", "alpha"), ("policy", "beta"),
+])
+def test_run_rejects_nonfinite_knobs(tmp_path, capsys, block, key, value):
+    # An infinite inter-arrival time would make the arrival times NaN or
+    # inf, which the refresh-tick loop never catches up with.
+    cfg = write(tmp_path, "bad.yaml", f"""\
+        {block}:
+          {key}: {value}
+        run:
+          seeds: [0]
+          output: {tmp_path / "m.csv"}
+        """)
+    assert main(["run", cfg]) == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_run_rejects_unbuildable_topology(tmp_path, capsys):
