@@ -75,36 +75,6 @@ def _trace_path(base: str, seed: int, many: bool) -> str:
     return str(path.with_name(f"{path.stem}_seed{seed}{path.suffix}"))
 
 
-# One trace record, keys in sorted order; see ``_trace_writer``.
-_TRACE_LINE = (
-    '{"kind": "%s", "name": %s, "node": %s, "outcome": "%s", "seq": %d, '
-    '"time": %r}\n'
-)
-
-
-def _trace_writer(handle):
-    """A trace sink writing each record as one key-sorted JSON line.
-
-    Byte-identical to ``json.dumps(record, sort_keys=True)``: records
-    have six fixed keys, names ``c<k>`` and ASCII kinds and outcomes need
-    no escaping, and ``%r`` of a finite int or float time is its JSON form.
-    """
-    write = handle.write
-
-    def emit(record: dict) -> None:
-        name = record["name"]
-        node = record["node"]
-        write(_TRACE_LINE % (
-            record["kind"],
-            "null" if name is None else '"' + name + '"',
-            "null" if node is None else node,
-            record["outcome"],
-            record["seq"],
-            record["time"],
-        ))
-    return emit
-
-
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.output:
@@ -118,7 +88,7 @@ def cmd_run(args) -> int:
                     path = _trace_path(
                         cfg.trace_output, seed, len(cfg.seeds) > 1
                     )
-                    trace = _trace_writer(files.enter_context(_writing(path)))
+                    trace = files.enter_context(_writing(path)).write
                 report = engine.run_single(
                     cfg, seed, debug=args.debug, trace=trace
                 )
@@ -267,6 +237,10 @@ def _node_id(text: str, topo: Topology) -> int:
 
 def cmd_oracle(args) -> int:
     topo = load_config(args.config).topology()
+    if args.demand and args.demand_from_trace:
+        raise ConfigError(
+            "oracle takes --demand or --demand-from-trace, not both"
+        )
     if args.demand:
         demand = load_demand_csv(args.demand, topo)
     elif args.demand_from_trace:

@@ -10,11 +10,12 @@ processing is single-threaded and uses no randomness, so a run is a
 pure function of (topology, schedule, policy, knobs).
 
 For speed the hot path keys all per-node state by integer content
-rank rather than by name and relies on two exact shortcuts: FIFO and
-LRU victims are taken from dict insertion order (equivalent to
-comparing stamps, since stamps are assigned in insertion order), and
-the selective policy caches each store's minimum entry score so the
-common reject decision is O(1).
+rank rather than by name and relies on two exact shortcuts: victims
+are taken from dict order, and the selective policy caches each
+store's minimum entry score so the common reject decision is O(1).
+Only LRU reorders a store on a hit, so FIFO and rate-hop stores keep
+insertion order: FIFO and LRU evict the first entry, and rate-hop the
+first (so oldest) entry whose score is the minimum.
 The cached minimum is invalidated whenever rates are refreshed or the
 store mutates; data arrivals only bump the rate of content that is not
 in the store, which cannot lower the minimum.  Pending-interest state
@@ -40,6 +41,7 @@ catalog.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field, replace
@@ -51,6 +53,20 @@ from .topology import Catalog, Topology, distribute_fues
 from .workload import build_schedule
 
 TIER_KEYS = ("own_cs", "d2d", "fap", "bbu", "producer")
+
+# One trace record as its JSON line, keys in sorted order.  Each line is
+# byte-identical to ``json.dumps(record, sort_keys=True)``: kinds,
+# outcomes and the catalog's ``c<k>`` names need no escaping, nodes and
+# sequence numbers are ints, and ``%r`` of a finite Python int or float
+# time is its JSON form.
+_EVENT_LINE = (
+    '{"kind": "%s", "name": "%s", "node": %d, "outcome": "%s", "seq": %d, '
+    '"time": %r}\n'
+)
+_TICK_LINE = (
+    '{"kind": "tick", "name": null, "node": null, "outcome": "refresh", '
+    '"seq": %d, "time": %r}\n'
+)
 
 
 @dataclass
@@ -75,6 +91,12 @@ class Simulation:
 
     Drive it either with :meth:`run_schedule` or by calling
     :meth:`tick` and :meth:`request` by hand for scripted scenarios.
+
+    ``trace``, if given, receives every event record as its finished
+    JSON line, newline included: a list gets each line appended, any
+    other value is called with it.  Trace times must then be Python
+    ints or floats, as the schedule and the ticks always are; ``%r`` of
+    a numpy scalar is not JSON.
     """
 
     def __init__(
@@ -107,9 +129,9 @@ class Simulation:
         self._rate_only = self.config.score_rule is ScoreRule.RATE_ONLY
 
         # Per-node state, indexed by NodeId.  Stores map content rank
-        # (0-based) to (inserted_stamp, weight) for the selective
-        # policy, where an entry scores rate * weight, and to None for
-        # FIFO/LRU, which only need dict order.
+        # (0-based) to its weight for the selective policy, where an
+        # entry scores rate * weight, and to None for FIFO/LRU, which
+        # only need dict order.
         self._cs: list[dict] = [{} for _ in range(n)]
         self._pit: list[set] = [set() for _ in range(n)]
         if self._is_ratehop:
@@ -148,8 +170,10 @@ class Simulation:
         """Warm-start the tracked demand rate at one node."""
         if not self._is_ratehop:
             raise ValueError("only the rate-tracking policy keeps rates")
-        if not rate >= 0:
-            raise ValueError(f"demand rate must be non-negative, got {rate}")
+        if not (math.isfinite(rate) and rate >= 0):
+            raise ValueError(
+                f"demand rate must be finite and non-negative, got {rate}"
+            )
         rank = self.catalog.index[name]
         self._rates[node][rank] = float(rate)
         self._live[node].add(rank)
@@ -203,10 +227,7 @@ class Simulation:
                 live.difference_update(dead)
                 self._min_score[node] = None
         if self._emit is not None:
-            self._emit(
-                {"time": now, "seq": self.seq, "node": None, "kind": "tick",
-                 "name": None, "outcome": "refresh"}
-            )
+            self._emit(_TICK_LINE % (self.seq, now))
         if self.debug:
             self._check_capacity(range(len(self.topo)))
 
@@ -278,7 +299,7 @@ class Simulation:
                     self._trace(now, seq, fap, "interest", rank, "d2d")
                     self._trace(now, seq, fue, "data", rank, "delivered")
                 if self.cache_d2d_data:
-                    self._cache(fue, rank, 1, seq)
+                    self._cache(fue, rank, 1)
                 if debug:
                     self._consume(fue, rank)
                     self._check_capacity(path[:2])
@@ -335,13 +356,13 @@ class Simulation:
                     self._check_live(node, rank)
             if ratehop:
                 self._rates[node][rank] += 1.0
-            self._cache(node, rank, served_depth - j, seq)
+            self._cache(node, rank, served_depth - j)
             if self._emit is not None:
                 self._trace(now, seq, node, "data", rank, "arrived")
         if debug:
             self._check_capacity(path[:served_depth + 1])
 
-    def _cache(self, node: int, rank: int, fetch_hops: int, seq: int) -> None:
+    def _cache(self, node: int, rank: int, fetch_hops: int) -> None:
         cap = self.topo.capacity[node]
         if cap == 0:
             return
@@ -355,30 +376,25 @@ class Simulation:
                 incoming = rates[rank] * weight
                 low = self._min_score[node]
                 if low is None:
-                    low = min(rates[r] * e[1] for r, e in store.items())
+                    low = min(rates[r] * w for r, w in store.items())
                     self._min_score[node] = low
                 if not low < incoming:
                     return
-                victim_key = None
-                for r, entry in store.items():
-                    key = (rates[r] * entry[1], entry[0])
-                    if victim_key is None or key < victim_key:
-                        victim = r
-                        victim_key = key
+                # ``low`` is the exact current minimum of these products.
+                victim = next(r for r, w in store.items() if rates[r] * w == low)
             else:
                 victim = next(iter(store))
             del store[victim]
         if ratehop:
-            store[rank] = (seq, weight)
+            store[rank] = weight
             self._min_score[node] = None
         else:
             store[rank] = None
 
     def _trace(self, now, seq, node, kind, rank, outcome) -> None:
-        self._emit(
-            {"time": now, "seq": seq, "node": node, "kind": kind,
-             "name": self.catalog.names[rank], "outcome": outcome}
-        )
+        self._emit(_EVENT_LINE % (
+            kind, self.catalog.names[rank], node, outcome, seq, now
+        ))
 
     # -- debug instrumentation ----------------------------------------
 

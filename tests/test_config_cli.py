@@ -1,10 +1,8 @@
 import csv
-import io
 import json
 import textwrap
 
 import pytest
-from hypothesis import given, strategies as st
 
 from fransim import engine, plotting
 from fransim.cli import (
@@ -16,7 +14,6 @@ from fransim.cli import (
     _node_id,
     _parse_fues,
     _trace_path,
-    _trace_writer,
     demand_from_trace,
     load_demand_csv,
     main,
@@ -286,7 +283,7 @@ def test_run_debug_mode_changes_nothing(tmp_path):
 
 
 def test_run_writes_per_seed_traces(tmp_path):
-    # Every line is checked against json itself, not the trace encoder.
+    # Every line is checked against json itself, not the engine's format.
     trace_base = tmp_path / "events.jsonl"
     cfg = write(tmp_path, "t.yaml", RUN_YAML.replace(
         "d2d_enabled: true", "d2d_enabled: true\n      cache_d2d_data: true",
@@ -315,32 +312,6 @@ def test_run_writes_per_seed_traces(tmp_path):
         }
         ticks = [line for line in lines if '"kind": "tick"' in line]
         assert len(ticks) == 5
-
-
-TRACE_RECORDS = st.fixed_dictionaries({
-    "kind": st.sampled_from(["interest", "data", "tick"]),
-    "outcome": st.sampled_from([
-        "own-hit", "d2d", "cs-hit", "forwarded", "origin", "arrived",
-        "delivered", "refresh",
-    ]),
-    "name": st.none() | st.integers(min_value=1).map(lambda k: f"c{k}"),
-    "node": st.none() | st.integers(min_value=0),
-    "seq": st.integers(),
-    "time": st.integers()
-    | st.floats(min_value=0, allow_nan=False, allow_infinity=False)
-    | st.sampled_from([5e-324, 1e16, 0.1 * 3]),
-})
-
-
-@given(st.lists(TRACE_RECORDS, max_size=5))
-def test_trace_writer_equals_sorted_json_dumps(records):
-    out = io.StringIO()
-    emit = _trace_writer(out)
-    for record in records:
-        emit(record)
-    assert out.getvalue() == "".join(
-        json.dumps(record, sort_keys=True) + "\n" for record in records
-    )
 
 
 def test_single_seed_trace_keeps_plain_name(tmp_path):
@@ -669,6 +640,18 @@ def test_oracle_demands_a_demand_source(tmp_path, capsys):
     cfg, _ = oracle_setup(tmp_path)
     assert main(["oracle", cfg]) == EXIT_CONFIG
     assert "--demand" in capsys.readouterr().err
+
+
+def test_oracle_rejects_two_demand_sources(tmp_path, capsys):
+    cfg, demand = oracle_setup(tmp_path)
+    trace = write(tmp_path, "t.jsonl", """\
+        {"kind": "interest", "name": "c1", "node": 4, "outcome": "forwarded"}
+        """)
+    argv = ["oracle", cfg, "--demand", demand, "--demand-from-trace", trace]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--demand or --demand-from-trace, not both" in captured.err
 
 
 def test_oracle_accepts_numeric_device_ids(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fransim import engine
 from fransim.config import ScenarioConfig
@@ -139,7 +141,7 @@ def test_seed_rate_requires_rate_policy():
     assert sim.rate_of(topo.bbu(), "c1") == 0.0
 
 
-@pytest.mark.parametrize("rate", [-1.0, float("nan")])
+@pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
 def test_seed_rate_must_be_nonnegative(rate):
     topo = chain((1, 1, 1))
     sim = Simulation(topo, Catalog(2), "rate-hop")
@@ -151,12 +153,15 @@ def test_seed_rate_must_be_nonnegative(rate):
 
 def test_ticks_fire_before_same_time_arrivals():
     topo = chain((2, 2, 2))
-    trace: list[dict] = []
+    trace: list[str] = []
     config = PolicyConfig(tau=1.0)
     sim = Simulation(topo, Catalog(3), "rate-hop", config, trace=trace)
     fue = topo.fues()[0]
     sim.run_schedule(repeat_schedule(fue, ["c1", "c1", "c2"]))
-    events = [(r["time"], r["kind"]) for r in trace if r["node"] in (None, fue)]
+    records = [json.loads(line) for line in trace]
+    events = [
+        (r["time"], r["kind"]) for r in records if r["node"] in (None, fue)
+    ]
     assert events.index((1.0, "tick")) < events.index((1.0, "interest"))
     assert events.index((2.0, "tick")) < events.index((2.0, "interest"))
     assert sim.seq == 3 + 2  # three arrivals, two refreshes
@@ -164,12 +169,13 @@ def test_ticks_fire_before_same_time_arrivals():
 
 def test_tick_times_do_not_drift():
     topo = chain((1, 1, 1))
-    trace: list[dict] = []
+    trace: list[str] = []
     config = PolicyConfig(tau=0.3)
     sim = Simulation(topo, Catalog(2), "rate-hop", config, trace=trace)
     fue = topo.fues()[0]
     sim.run_schedule(repeat_schedule(fue, ["c1"] * 4))
-    ticks = [r["time"] for r in trace if r["kind"] == "tick"]
+    records = [json.loads(line) for line in trace]
+    ticks = [r["time"] for r in records if r["kind"] == "tick"]
     assert ticks == [0.3 * k for k in range(1, 11)]
 
 
@@ -233,11 +239,51 @@ def test_identical_runs_identical_reports_and_traces():
     traces = []
     reports = []
     for _ in range(2):
-        trace: list[dict] = []
+        trace: list[str] = []
         reports.append(run_single(cfg, seed=3, trace=trace))
         traces.append(trace)
     assert reports[0] == reports[1]
     assert traces[0] == traces[1]
+
+
+TRACE_TIMES = (
+    st.integers()
+    | st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+    | st.sampled_from([5e-324, 1e16, 0.1 * 3])
+)
+EVENT_RECORDS = st.fixed_dictionaries({
+    "kind": st.sampled_from(["interest", "data"]),
+    "outcome": st.sampled_from([
+        "own-hit", "d2d", "cs-hit", "forwarded", "origin", "arrived",
+        "delivered",
+    ]),
+    "name": st.integers(min_value=1).map(lambda k: f"c{k}"),
+    "node": st.integers(min_value=0),
+    "seq": st.integers(),
+    "time": TRACE_TIMES,
+})
+TICK_RECORDS = st.fixed_dictionaries({
+    "kind": st.just("tick"),
+    "outcome": st.just("refresh"),
+    "name": st.none(),
+    "node": st.none(),
+    "seq": st.integers(),
+    "time": TRACE_TIMES,
+})
+
+
+@given(st.lists(EVENT_RECORDS | TICK_RECORDS, max_size=5))
+def test_trace_lines_equal_sorted_json_dumps(records):
+    lines = [
+        engine._TICK_LINE % (r["seq"], r["time"]) if r["kind"] == "tick"
+        else engine._EVENT_LINE % (
+            r["kind"], r["name"], r["node"], r["outcome"], r["seq"], r["time"]
+        )
+        for r in records
+    ]
+    assert lines == [
+        json.dumps(record, sort_keys=True) + "\n" for record in records
+    ]
 
 
 def small(seeds):
