@@ -90,31 +90,7 @@ def propagate_rates(
     child's copy.  Computed leaf to root in one pass.
     """
     check_feasible(topo, placement)
-    return _propagate(topo, demand, placement)
-
-
-def _propagate(topo, demand, placement):
-    rates: dict[tuple[str, NodeId], float] = {}
-    fues = topo.fues()
-    faps = topo.faps()
-    bbu = topo.bbu()
-    for name in demand.contents():
-        base = demand.base_rate
-        for fue in fues:
-            b = base.get((name, fue), 0.0)
-            rates[(name, fue)] = b * (1 - placement.get((name, fue), 0))
-        for fap in faps:
-            total = 0.0
-            for child in topo.children(fap):
-                total += rates[(name, child)] * (
-                    1 - placement.get((name, child), 0)
-                )
-            rates[(name, fap)] = total
-        total = 0.0
-        for fap in faps:
-            total += rates[(name, fap)] * (1 - placement.get((name, fap), 0))
-        rates[(name, bbu)] = total
-    return rates
+    return _propagate(_tree_walk(topo, demand), placement)
 
 
 def objective_value(
@@ -122,16 +98,52 @@ def objective_value(
 ) -> float:
     """Hop-weighted demand captured by a feasible placement."""
     check_feasible(topo, placement)
-    return _objective(topo, demand, placement)
+    return _objective(_tree_walk(topo, demand), placement)
 
 
-def _objective(topo, demand, placement):
-    rates = _propagate(topo, demand, placement)
-    hop = topo.hop_from_core
+def _tree_walk(topo: Topology, demand: DemandSpec):
+    """What the evaluator reads that no placement changes: the sorted
+    contents, their base rates, the devices, each access point with its
+    children, the BBU and the hop weights.  Callers that evaluate many
+    placements build it once."""
+    return (
+        demand.contents(),
+        demand.base_rate,
+        topo.fues(),
+        [(fap, topo.children(fap)) for fap in topo.faps()],
+        topo.bbu(),
+        topo.hop_from_core,
+    )
+
+
+def _propagate(walk, placement):
+    contents, base, fues, faps, bbu, _ = walk
+    x = placement.get
+    rates: dict[tuple[str, NodeId], float] = {}
+    for name in contents:
+        for fue in fues:
+            key = (name, fue)
+            rates[key] = base.get(key, 0.0) * (1 - x(key, 0))
+        up = 0.0  # the BBU sees each access point's rate thinned by its copy
+        for fap, children in faps:
+            total = 0.0
+            for child in children:
+                key = (name, child)
+                total += rates[key] * (1 - x(key, 0))
+            key = (name, fap)
+            rates[key] = total
+            up += total * (1 - x(key, 0))
+        rates[(name, bbu)] = up
+    return rates
+
+
+def _objective(walk, placement):
+    rates = _propagate(walk, placement)
+    hop = walk[-1]
     value = 0.0
-    for (name, node), x in placement.items():
+    for key, x in placement.items():
         if x:
-            value += rates.get((name, node), 0.0) * hop[node]
+            value += rates.get(key, 0.0) * hop[key[1]]
     return value
 
 
@@ -158,29 +170,26 @@ def brute_force_optimal(
     """
     demand.validate(topo)
     contents, nodes = _guard(topo, demand)
+    walk = _tree_walk(topo, demand)
     per_node_choices = []
     for node in nodes:
         cap = min(topo.capacity[node], len(contents))
+        keys = [(name, node) for name in contents]
         subsets = []
         for size in range(cap + 1):
-            subsets.extend(itertools.combinations(contents, size))
+            subsets.extend(itertools.combinations(keys, size))
         per_node_choices.append(subsets)
+    order = [(name, node) for name in contents for node in nodes]
 
     best_value = -1.0
     best_vec: tuple[int, ...] | None = None
     best_placement: Placement = {}
     for combo in itertools.product(*per_node_choices):
-        placement = {
-            (name, node): 1
-            for node, chosen in zip(nodes, combo)
-            for name in chosen
-        }
-        value = _objective(topo, demand, placement)
-        vec = tuple(
-            placement.get((name, node), 0)
-            for name in contents
-            for node in nodes
-        )
+        placement = dict.fromkeys(itertools.chain.from_iterable(combo), 1)
+        value = _objective(walk, placement)
+        if value < best_value:
+            continue
+        vec = tuple([placement.get(key, 0) for key in order])
         if value > best_value or (value == best_value and vec < best_vec):
             best_value = value
             best_vec = vec
@@ -350,27 +359,56 @@ class VerificationReport:
         return self.ok
 
 
-def _z_interval(
-    program: LinearizedProgram, z: str, x_val: dict[str, float]
-) -> tuple[float, float]:
-    """Feasible range for one auxiliary, derived from the program's own
-    constraints at a fixed binary x assignment."""
-    lo, hi = float("-inf"), float("inf")
-    for con in program.constraints:
-        cz = con.coeffs.get(z)
-        if not cz:
-            continue
-        rest = sum(
-            coeff * x_val[var]
-            for var, coeff in con.coeffs.items()
-            if var != z
-        )
-        bound = (con.rhs - rest) / cz
-        if cz > 0:
-            hi = min(hi, bound)
+def _index_program(program: LinearizedProgram):
+    """Read the program once into position-based form.
+
+    Zero coefficients are dropped, so a variable listed with
+    coefficient 0 is not in its row.  Returns one entry per objective
+    term, (coefficient, factor positions, rows): an x variable is its
+    own single factor and has rows None; an auxiliary's rows are its
+    own constraints that bound it on the side its coefficient pushes it
+    to, each as (its coefficient, rhs, [(coefficient, x position)]).
+    Also returns the rows that hold no auxiliary, each as
+    (rhs, [(coefficient, x position)]).
+    """
+    pos = {var: i for i, var in enumerate(program.x_vars)}
+
+    def position(var: str, where: str) -> int:
+        if var not in pos:
+            raise ValueError(f"{where} names unknown variable {var!r}")
+        return pos[var]
+
+    aux_rows: dict[str, list] = {z: [] for z in program.monomials}
+    plain_rows = []
+    for n, con in enumerate(program.constraints, start=1):
+        own = [(var, c) for var, c in con.coeffs.items()
+               if c and var in aux_rows]
+        xs = [(c, position(var, f"constraint {n}"))
+              for var, c in con.coeffs.items()
+              if c and var not in aux_rows]
+        if not own:
+            plain_rows.append((con.rhs, xs))
+        elif len(own) == 1:
+            (z, cz), = own
+            aux_rows[z].append((cz, con.rhs, xs))
         else:
-            lo = max(lo, bound)
-    return lo, hi
+            raise ValueError(
+                f"constraint {n} couples auxiliaries "
+                f"{', '.join(z for z, _ in own)}; each must be bounded "
+                "by x variables alone"
+            )
+
+    terms = []
+    for var, coeff in program.objective.items():
+        if var in aux_rows:
+            factors = [position(f, f"{var}'s product")
+                       for f in sorted(program.monomials[var])]
+            side = [row for row in aux_rows[var]
+                    if (row[0] > 0) == (coeff > 0)]
+            terms.append((coeff, factors, side))
+        else:
+            terms.append((coeff, [position(var, "objective")], None))
+    return terms, plain_rows
 
 
 def verify_linearization(
@@ -380,12 +418,14 @@ def verify_linearization(
 ) -> VerificationReport:
     """Exhaustively confirm the linearization is exact.
 
-    Two checks over every binary assignment of the x variables: the
+    Three checks over every binary assignment of the x variables: the
     linear objective with each auxiliary set to its defining product
-    must equal the direct polynomial objective, and the maxima over
-    feasible assignments must agree when each auxiliary instead ranges
-    freely within its own constraints.  Returns a falsy report naming
-    the first counterexample otherwise.
+    must equal the direct polynomial objective; the program's rows
+    without an auxiliary must admit exactly the assignments that fit
+    every store's capacity; and the maxima over feasible assignments
+    must agree when each auxiliary instead ranges freely within its own
+    constraints.  Returns a falsy report naming the first
+    counterexample otherwise.
     """
     if program is None:
         program = linearize(topo, demand)  # validates the demand
@@ -400,54 +440,75 @@ def verify_linearization(
             f"{ENUMERATION_LIMIT}"
         )
     x_vars = program.x_vars
-    capacity = topo.capacity
     tol = 1e-9
+    inf = float("inf")
+    terms, plain_rows = _index_program(program)
+    limits = [(rhs + tol * max(1.0, abs(rhs)), xs) for rhs, xs in plain_rows]
+    keys = [program.x_key[var] for var in x_vars]
+    held: dict[NodeId, list[int]] = {}
+    for i, (_, node) in enumerate(keys):
+        held.setdefault(node, []).append(i)
+    stores = [(topo.capacity[node], idx) for node, idx in held.items()]
+    walk = _tree_walk(topo, demand)
 
     best_direct = None
     best_linear = None
     checked = 0
     for bits in itertools.product((0, 1), repeat=len(x_vars)):
-        x_val = dict(zip(x_vars, bits))
-        placement = {
-            program.x_key[var]: value for var, value in x_val.items()
-        }
-        direct = _objective(topo, demand, placement)
-
-        pinned = dict(x_val)
-        for z, factors in program.monomials.items():
-            prod = 1
-            for factor in factors:
-                prod *= x_val[factor]
-            pinned[z] = prod
-        linear = sum(
-            coeff * pinned[var] for var, coeff in program.objective.items()
+        direct = _objective(
+            walk, dict.fromkeys(itertools.compress(keys, bits), 1)
         )
+        # Pinned: each auxiliary is 1 exactly when all its factors are.
+        linear = 0.0
+        for coeff, factors, _ in terms:
+            for j in factors:
+                if not bits[j]:
+                    break
+            else:
+                linear += coeff
         checked += 1
         if abs(linear - direct) > tol * max(1.0, abs(direct)):
             return VerificationReport(
                 False,
                 checked,
                 f"pinned objective {linear!r} != direct {direct!r}",
-                x_val,
+                dict(zip(x_vars, bits)),
             )
 
-        used: dict[NodeId, int] = {}
-        for var, value in x_val.items():
-            if value:
-                node = program.x_key[var][1]
-                used[node] = used.get(node, 0) + 1
         feasible = all(
-            count <= capacity[node] for node, count in used.items()
+            sum([bits[i] for i in idx]) <= cap for cap, idx in stores
         )
+        admitted = all(
+            sum([c * bits[i] for c, i in xs]) <= limit for limit, xs in limits
+        )
+        if admitted != feasible:
+            return VerificationReport(
+                False,
+                checked,
+                "program rows "
+                + ("admit an assignment over" if admitted
+                   else "reject an assignment within")
+                + " the store capacities",
+                dict(zip(x_vars, bits)),
+            )
         if not feasible:
             continue
+        # Free: each auxiliary takes the bound its coefficient favours.
         free = 0.0
-        for var, coeff in program.objective.items():
-            if var in program.monomials:
-                lo, hi = _z_interval(program, var, x_val)
-                free += coeff * (hi if coeff > 0 else lo)
+        for coeff, factors, side in terms:
+            if side is None:
+                free += coeff * bits[factors[0]]
+                continue
+            bounds = []
+            for cz, rhs, xs in side:
+                rest = 0
+                for c, j in xs:
+                    rest += c * bits[j]
+                bounds.append((rhs - rest) / cz)
+            if coeff > 0:
+                free += coeff * min(bounds, default=inf)
             else:
-                free += coeff * x_val[var]
+                free += coeff * max(bounds, default=-inf)
         if best_direct is None or direct > best_direct:
             best_direct = direct
         if best_linear is None or free > best_linear:

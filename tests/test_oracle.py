@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fransim.errors import InstanceTooLarge
 from fransim.oracle import (
+    Constraint,
     DemandSpec,
     brute_force_optimal,
     caching_nodes,
@@ -179,6 +181,58 @@ def test_oversized_instance_is_refused():
     # 3 contents x 11 stores = 33 variables
     with pytest.raises(InstanceTooLarge, match="limit of 24"):
         brute_force_optimal(topo, demand)
+
+
+# Rates that are multiples of 1/64 add up exactly, so a value does not
+# depend on summation order; the small pool makes equal rates, and with
+# them tied optima, common.
+RATES = st.integers(0, 6400).map(lambda k: k / 64) | st.sampled_from(
+    [0.0, 1.0, 2.5]
+)
+
+
+@st.composite
+def small_instances(draw):
+    """A tree of at most 2 F-APs x 2 devices and demand over at most 12
+    placement variables (contents x stores with room)."""
+    faps = draw(st.integers(1, 2))
+    topo = build_topology(
+        faps,
+        draw(st.lists(st.integers(1, 2), min_size=faps, max_size=faps)),
+        Capacities(*draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))),
+    )
+    stores = sum(1 for n in caching_nodes(topo) if topo.capacity[n] > 0)
+    k = draw(st.integers(1, max(1, 12 // max(stores, 1))))
+    demand = {}
+    for c in range(1, k + 1):
+        for fue in topo.fues():
+            rate = draw(st.none() | RATES)
+            if rate is not None:
+                demand[(f"c{c}", fue)] = rate
+    return topo, DemandSpec(demand)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances())
+def test_brute_force_matches_a_naive_search(instance):
+    topo, demand = instance
+    nodes = [n for n in caching_nodes(topo) if topo.capacity[n] > 0]
+    keys = [(name, node) for name in demand.contents() for node in nodes]
+    assert len(keys) <= 12
+    best = None
+    for vec in itertools.product((0, 1), repeat=len(keys)):
+        placement = {key: 1 for key, x in zip(keys, vec) if x}
+        try:
+            check_feasible(topo, placement)
+        except ValueError:
+            continue
+        value = objective_value(topo, demand, placement)
+        # Vectors come in ascending order, so a tie keeps the smaller.
+        if best is None or value > best[0]:
+            best = (value, placement)
+    placement, value = brute_force_optimal(topo, demand)
+    assert value == best[0]
+    assert placement == best[1]
 
 
 def random_feasible_placement(rng, topo, contents):
@@ -468,3 +522,109 @@ def test_pinned_and_direct_agree_pointwise_by_hand(open_topo):
     # direct: device copy kills the chain, so the bbu copy earns 0
     assert objective_value(open_topo, demand, placement) == 0.0
     assert linear == pytest.approx(0.0)
+
+
+# -- the verifier reads the program's rows ------------------------------
+
+@pytest.fixture
+def unit_store_topo():
+    """2 F-APs x 1 device with room for one content in every store."""
+    return build_topology(2, [1, 1], Capacities(bbu=1, fap=1, fue=1))
+
+
+@pytest.fixture
+def split_demand(unit_store_topo):
+    u1, u2 = unit_store_topo.fues()
+    return DemandSpec({("c1", u1): 1.0, ("c1", u2): 2.0, ("c2", u2): 1.5})
+
+
+@pytest.mark.parametrize("mutate, verdict", [
+    (lambda con: None, "admit"),
+    (lambda con: Constraint(con.coeffs, con.rhs + 5), "admit"),
+    (lambda con: Constraint(con.coeffs, con.rhs - 1), "reject"),
+], ids=["dropped", "loosened", "tightened"])
+def test_capacity_rows_must_match_the_stores(
+    unit_store_topo, split_demand, mutate, verdict
+):
+    prog = linearize(unit_store_topo, split_demand)
+    assert len(prog.constraints) == 56
+    rows = []
+    for con in prog.constraints:
+        if all(var in prog.x_key for var in con.coeffs):  # a capacity row
+            con = mutate(con)
+        if con is not None:
+            rows.append(con)
+    report = verify_linearization(
+        unit_store_topo, split_demand, replace(prog, constraints=rows)
+    )
+    assert not report
+    assert report.message.startswith(f"program rows {verdict}")
+    placement = {
+        prog.x_key[var]: x for var, x in report.counterexample.items()
+    }
+    if verdict == "admit":
+        with pytest.raises(ValueError, match="infeasible"):
+            check_feasible(unit_store_topo, placement)
+    else:
+        check_feasible(unit_store_topo, placement)
+
+
+def test_scaled_auxiliary_rows_still_verify(unit_store_topo, split_demand):
+    prog = linearize(unit_store_topo, split_demand)
+    z = prog.z_vars[0]
+    rows = [
+        Constraint({v: 2 * c for v, c in con.coeffs.items()}, 2 * con.rhs)
+        if z in con.coeffs else con
+        for con in prog.constraints
+    ]
+    assert any(con.coeffs.get(z) == 2.0 for con in rows)  # 2z - 2x <= 0
+    report = verify_linearization(
+        unit_store_topo, split_demand, replace(prog, constraints=rows)
+    )
+    assert report.ok
+    assert report.checked == 2 ** 10
+
+
+def test_auxiliary_listed_with_zero_coefficient_is_ignored(
+    unit_store_topo, split_demand
+):
+    prog = linearize(unit_store_topo, split_demand)
+    z1, z2 = prog.z_vars[:2]
+    rows = [
+        Constraint({**con.coeffs, z2: 0.0}, con.rhs)
+        if z1 in con.coeffs else con
+        for con in prog.constraints
+    ]
+    rows.append(Constraint({z1: 0.0}, 0.0))
+    report = verify_linearization(
+        unit_store_topo, split_demand, replace(prog, constraints=rows)
+    )
+    assert report.ok
+    assert report.checked == 2 ** 10
+
+
+def test_missing_upper_bounds_are_caught(unit_store_topo, split_demand):
+    prog = linearize(unit_store_topo, split_demand)
+    z = next(z for z in prog.z_vars if prog.objective[z] > 0)
+    rows = [con for con in prog.constraints if con.coeffs.get(z, 0) <= 0]
+    assert len(rows) == len(prog.constraints) - len(prog.monomials[z])
+    report = verify_linearization(
+        unit_store_topo, split_demand, replace(prog, constraints=rows)
+    )
+    assert not report
+    assert "optimum mismatch" in report.message
+
+
+@pytest.mark.parametrize("extra, match", [
+    (lambda z1, z2: Constraint({z1: 1.0, z2: 1.0}, 1.0), "couples"),
+    (lambda z1, z2: Constraint({"x[c9,bbu]": 1.0}, 1.0), "names unknown"),
+], ids=["coupled", "unknown"])
+def test_rows_the_verifier_cannot_read_are_refused(
+    unit_store_topo, split_demand, extra, match
+):
+    prog = linearize(unit_store_topo, split_demand)
+    rows = prog.constraints + [extra(*prog.z_vars[:2])]
+    with pytest.raises(ValueError, match=f"constraint {len(rows)} {match}"):
+        verify_linearization(
+            unit_store_topo, split_demand, replace(prog, constraints=rows)
+        )
