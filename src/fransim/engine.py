@@ -22,20 +22,6 @@ in the store, which cannot lower the minimum.  Pending-interest state
 collapses within one processed chain, so the PIT bookkeeping runs only
 under ``debug``, where it feeds the single-forward and flow
 conservation checks.
-
-Rate-hop state is dense: each node keeps a smoothed-rate list and a
-window-count list of catalog length, which the request path indexes
-directly, so memory is nodes x catalog x 2 lists.  Beside them each
-node keeps a live set, the ranks whose rate or window count may be
-non-zero.  A window count adds its rank on its first count, and
-``seed_rate`` adds its rank; every rate bump follows a window count at
-the same node in the same request, so it needs no hook of its own.  A
-refresh tick walks only the live sets, updating in place and dropping
-ranks whose rate reached exactly 0.0.  A rank outside its node's set
-holds rate 0.0 and count 0, and refreshing those gives 0.0 again, so
-skipping it leaves every rate bit-identical to refreshing the whole
-catalog, while a tick costs the demand seen rather than nodes x
-catalog.
 """
 
 from __future__ import annotations
@@ -123,7 +109,6 @@ class Simulation:
             self._emit = trace.append if isinstance(trace, list) else trace
 
         n = len(topo)
-        k = len(catalog)
         self._is_lru = policy == "lru"
         self._is_ratehop = policy == "rate-hop"
         self._rate_only = self.config.score_rule is ScoreRule.RATE_ONLY
@@ -135,9 +120,13 @@ class Simulation:
         self._cs: list[dict] = [{} for _ in range(n)]
         self._pit: list[set] = [set() for _ in range(n)]
         if self._is_ratehop:
-            self._rates = [[0.0] * k for _ in range(n)]
-            self._wc = [[0] * k for _ in range(n)]
-            self._live: list[set[int]] = [set() for _ in range(n)]
+            # Each node maps every rank it has seen to [smoothed rate,
+            # window count].  A request's window count creates the
+            # entry, and its rate bumps follow at the same nodes, so
+            # every stored rank has one.  An unseen rank has rate 0.0
+            # and count 0, which a refresh leaves at 0.0, so refreshing
+            # the entries gives the rates a whole-catalog refresh would.
+            self._demand: list[dict[int, list]] = [{} for _ in range(n)]
             self._min_score: list[float | None] = [None] * n
         # With D2D on, each device refers to its access point's group:
         # the stores of the access point's devices in device-id order,
@@ -175,14 +164,13 @@ class Simulation:
                 f"demand rate must be finite and non-negative, got {rate}"
             )
         rank = self.catalog.index[name]
-        self._rates[node][rank] = float(rate)
-        self._live[node].add(rank)
+        self._demand[node].setdefault(rank, [0.0, 0])[0] = float(rate)
         self._min_score[node] = None
 
     def rate_of(self, node: int, name: str) -> float:
         if not self._is_ratehop:
             return 0.0
-        return self._rates[node][self.catalog.index[name]]
+        return self._demand[node].get(self.catalog.index[name], (0.0,))[0]
 
     def report(self) -> MetricsReport:
         # Every tier's cost is fixed: a round trip of two hops per tree
@@ -212,20 +200,11 @@ class Simulation:
             alpha = self.config.alpha
             beta = self.config.beta
             denom = alpha + beta
-            for node, live in enumerate(self._live):
-                if not live:
-                    continue
-                rates = self._rates[node]
-                w = self._wc[node]
-                dead = []
-                for r in live:
-                    rate = (alpha * w[r] + beta * rates[r]) / denom
-                    rates[r] = rate
-                    w[r] = 0
-                    if rate == 0.0:
-                        dead.append(r)
-                live.difference_update(dead)
-                self._min_score[node] = None
+            for demand in self._demand:
+                for entry in demand.values():
+                    entry[0] = (alpha * entry[1] + beta * entry[0]) / denom
+                    entry[1] = 0
+            self._min_score = [None] * len(self._demand)
         if self._emit is not None:
             self._emit(_TICK_LINE % (self.seq, now))
         if self.debug:
@@ -257,10 +236,11 @@ class Simulation:
         # The window count is inlined at each tier: as a method call it
         # slowed a paper-scale rate-hop replay by about 4 %.
         if ratehop:
-            w = self._wc[fue]
-            if not w[rank]:
-                self._live[fue].add(rank)
-            w[rank] += 1
+            entry = self._demand[fue].get(rank)
+            if entry is None:
+                self._demand[fue][rank] = [0.0, 1]
+            else:
+                entry[1] += 1
         if debug:
             self._forward(fue, rank)
         if emit is not None:
@@ -269,10 +249,11 @@ class Simulation:
         # Tier 1: the access point (which may broker a D2D serve).
         fap = path[1]
         if ratehop:
-            w = self._wc[fap]
-            if not w[rank]:
-                self._live[fap].add(rank)
-            w[rank] += 1
+            entry = self._demand[fap].get(rank)
+            if entry is None:
+                self._demand[fap][rank] = [0.0, 1]
+            else:
+                entry[1] += 1
         store_a = cs[fap]
         if rank in store_a:
             if self._is_lru:
@@ -292,9 +273,7 @@ class Simulation:
                     peer_store[rank] = peer_store.pop(rank)
                 self._hits[1] += 1
                 if ratehop:
-                    if debug:
-                        self._check_live(fue, rank)
-                    self._rates[fue][rank] += 1.0
+                    self._demand[fue][rank][0] += 1.0
                 if emit is not None:
                     self._trace(now, seq, fap, "interest", rank, "d2d")
                     self._trace(now, seq, fue, "data", rank, "delivered")
@@ -312,10 +291,11 @@ class Simulation:
         # Tier 2: the BBU pool.
         bbu = path[2]
         if ratehop:
-            w = self._wc[bbu]
-            if not w[rank]:
-                self._live[bbu].add(rank)
-            w[rank] += 1
+            entry = self._demand[bbu].get(rank)
+            if entry is None:
+                self._demand[bbu][rank] = [0.0, 1]
+            else:
+                entry[1] += 1
         store_b = cs[bbu]
         if rank in store_b:
             if self._is_lru:
@@ -352,10 +332,8 @@ class Simulation:
             node = path[j]
             if debug:
                 self._consume(node, rank)
-                if ratehop:
-                    self._check_live(node, rank)
             if ratehop:
-                self._rates[node][rank] += 1.0
+                self._demand[node][rank][0] += 1.0
             self._cache(node, rank, served_depth - j)
             if self._emit is not None:
                 self._trace(now, seq, node, "data", rank, "arrived")
@@ -372,16 +350,18 @@ class Simulation:
             weight = 1 if self._rate_only else fetch_hops
         if len(store) >= cap:
             if ratehop:
-                rates = self._rates[node]
-                incoming = rates[rank] * weight
+                demand = self._demand[node]
+                incoming = demand[rank][0] * weight
                 low = self._min_score[node]
                 if low is None:
-                    low = min(rates[r] * w for r, w in store.items())
+                    low = min(demand[r][0] * w for r, w in store.items())
                     self._min_score[node] = low
                 if not low < incoming:
                     return
                 # ``low`` is the exact current minimum of these products.
-                victim = next(r for r, w in store.items() if rates[r] * w == low)
+                victim = next(
+                    r for r, w in store.items() if demand[r][0] * w == low
+                )
             else:
                 victim = next(iter(store))
             del store[victim]
@@ -415,13 +395,6 @@ class Simulation:
                 f"{node} (event {self.seq})"
             )
         pit.discard(rank)
-
-    def _check_live(self, node: int, rank: int) -> None:
-        if rank not in self._live[node]:
-            raise InvariantViolation(
-                f"rate of {self.catalog.names[rank]} bumped at node {node} "
-                f"outside its live set (event {self.seq})"
-            )
 
     def _check_capacity(self, nodes) -> None:
         cs = self._cs
@@ -476,8 +449,6 @@ def run_single(
     """Build the scenario ``cfg`` describes and replay it at ``seed``."""
     topo = cfg.topology()
     zipf = replace(cfg.zipf, seed=seed)
-    # Before the stores exist, so collections during the build skip
-    # the per-node rate lists.
     schedule = build_schedule(zipf, topo.fues())
     sim = Simulation(
         topo,

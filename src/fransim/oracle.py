@@ -55,6 +55,18 @@ class DemandSpec:
                     f"demand rate for {name!r} at {fue} must be finite and "
                     f"non-negative, got {rate}"
                 )
+        # Every rate, sum and objective the evaluator forms is at most
+        # this total, so a finite total keeps them all finite.
+        hop = topo.hop_from_core
+        total = sum(
+            rate * sum(hop[node] for node in topo.upstream_path(fue))
+            for (_, fue), rate in self.base_rate.items()
+        )
+        if not math.isfinite(total):
+            raise ValueError(
+                f"the demand's hop-weighted total is not finite ({total}): "
+                "rates this large overflow the objective"
+            )
 
 
 def caching_nodes(topo: Topology) -> list[NodeId]:

@@ -1,10 +1,13 @@
-"""The benchmark's lookup sites exist in the package.
+"""The benchmark's lookup sites and drives work against the package.
 
 ``perfbench/spans.py`` times fransim's calls by replacing names in the
 module or class that looks them up, reading each original from
 ``owner.__dict__``; untraced runs time each workload's ``timed_calls``
 the same way in ``cli``.  A renamed or dropped name would only surface
 as a ``KeyError`` in a benchmark run, so check every target here.
+``perfbench/drives.py`` builds simulations and oracle inputs itself;
+running each drive on tiny inputs catches a break in the engine or
+oracle surface it uses before a benchmark pass does.
 """
 
 import importlib.util
@@ -12,7 +15,11 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from fransim import cli, engine, oracle, plotting
+from fransim import cli, engine, oracle, plotting, policies, topology, workload
+from fransim.oracle import DemandSpec
+from fransim.policies import POLICY_NAMES, PolicyConfig
+from fransim.topology import Capacities, build_topology
+from fransim.workload import ZipfSpec, build_schedule
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,3 +50,36 @@ def test_every_timed_call_is_a_cli_function():
     assert timed
     for name in timed:
         assert callable(cli.__dict__.get(name)), f"cli.{name}"
+
+
+def test_every_drive_runs_on_tiny_inputs():
+    drives = load("drives")
+    fs = SimpleNamespace(engine=engine, oracle=oracle, policies=policies,
+                         topology=topology, workload=workload)
+    for tier in drives.TIER_TREES:
+        assert drives.request_us(fs, tier, batch=20) > 0
+
+    topo = build_topology(2, [2, 3], Capacities(bbu=3, fap=2, fue=1), True)
+    spec = ZipfSpec(catalog_size=20, interests_per_fue=40)
+    config = PolicyConfig(tau=5.0)
+    schedule = build_schedule(spec, topo.fues())
+    assert drives.tick_ms(fs, topo, spec.catalog_size, config) > 0
+    for policy in POLICY_NAMES:
+        seconds, report = drives.replay(fs, topo, spec, schedule, policy,
+                                        config, True)
+        assert seconds > 0
+        assert report.total_interests == len(schedule)
+    ratios = drives.replay_ratios(fs, topo, spec, schedule, config, True,
+                                  rounds=1)
+    assert set(ratios) == {"debug_ratio", "trace_ratio"}
+    offers, rejects = drives.admission(fs, topo, spec, schedule, config,
+                                       True, limit=100)
+    assert 0 <= rejects <= offers and offers > 0
+    assert drives.schedule_mb(fs, spec, topo.fues()) > 0
+
+    small = build_topology(2, [1, 1], Capacities(bbu=2, fap=1, fue=0))
+    u1, u2 = small.fues()
+    demand = DemandSpec({("c1", u1): 1.0, ("c2", u2): 2.0, ("c1", u2): 0.5})
+    assert drives.objective_us(fs, small, demand, evaluations=20) > 0
+    z_vars, constraints = drives.program_size(fs, small, demand)
+    assert z_vars > 0 and constraints > 0

@@ -713,6 +713,17 @@ def test_oracle_rejects_nonfinite_rates(tmp_path, capsys, rate):
     assert "must be finite and non-negative" in capsys.readouterr().err
 
 
+def test_oracle_rejects_demand_whose_sums_overflow(tmp_path, capsys):
+    # Each rate is finite, but their hop-weighted sums are not.
+    cfg, _ = oracle_setup(tmp_path)
+    demand = write(tmp_path, "d.csv",
+                   "name,fue,rate\nc1,fue1,1e308\nc1,fue2,1e308\n")
+    assert main(["oracle", cfg, "--demand", demand]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "optimal" not in captured.out
+    assert "hop-weighted total is not finite" in captured.err
+
+
 @pytest.mark.parametrize("second", ["fue1", "by-id"])
 def test_oracle_rejects_duplicate_demand_rows(tmp_path, capsys, second):
     cfg, _ = oracle_setup(tmp_path)

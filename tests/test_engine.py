@@ -2,13 +2,15 @@ import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fransim import engine
 from fransim.config import ScenarioConfig
 from fransim.engine import Simulation, metrics_row, run_single, sweep
 from fransim.errors import InvariantViolation
-from fransim.policies import PolicyConfig, ScoreRule, refreshed_rate
+from fransim.policies import (
+    POLICY_NAMES, PolicyConfig, ScoreRule, refreshed_rate,
+)
 from fransim.topology import Capacities, Catalog, build_topology
 from fransim.workload import ZipfSpec, build_schedule
 
@@ -201,7 +203,6 @@ def test_idle_rate_decays_to_exactly_zero_then_is_tracked_again():
         expected = refreshed_rate(1.0, 1.0, 0, expected)
         assert sim.rate_of(fue, "c1").hex() == expected.hex()
     assert expected == 0.0
-    assert not sim._live[fue]  # the zero rate left the live set
     sim.request(fue, "c1", 1100.5)  # window 1 and a bump to 1 everywhere
     sim.tick(1101.0)
     for node in topo.upstream_path(fue)[:3]:  # device, F-AP, BBU
@@ -354,7 +355,13 @@ def test_parallel_sweep_matches_serial():
 
 # -- equivalence with the packet-level reference ----------------------------
 
-def run_pair(policy, **kw):
+# The engine as the grid and ``fransim run`` build it, with ``--debug``,
+# and with a trace sink, as traced runs do: each is compared with the
+# reference.
+KERNEL_MODES = ("plain", "debug", "traced")
+
+
+def run_pair(policy, modes=KERNEL_MODES, **kw):
     n_faps = kw.pop("n_faps", 2)
     fues_per_fap = kw.pop("fues_per_fap", [2, 3])
     caps = Capacities(*kw.pop("caps", (3, 2, 1)))
@@ -377,26 +384,25 @@ def run_pair(policy, **kw):
     topo = build_topology(n_faps, fues_per_fap, caps, d2d)
     catalog = Catalog(catalog_size)
     schedule = build_schedule(spec, topo.fues())
-    fast = Simulation(topo, catalog, policy, config,
-                      debug=True, cache_d2d_data=cache_d2d)
-    fast_report = fast.run_schedule(schedule)
     ref = ReferenceSimulation(topo, catalog, policy, config,
                               cache_d2d_data=cache_d2d)
     ref_report = ref.run_schedule(schedule)
-
-    assert fast_report == ref_report
-    for node in range(len(topo)):
-        assert fast.cs_contents(node) == ref.cs_contents(node), (
-            f"store mismatch at node {node}"
-        )
-    if policy == "rate-hop":
+    for mode in modes:
+        fast = Simulation(topo, catalog, policy, config,
+                          debug=mode == "debug", cache_d2d_data=cache_d2d,
+                          trace=[] if mode == "traced" else None)
+        assert fast.run_schedule(schedule) == ref_report, mode
         for node in range(len(topo)):
-            ref_rates = ref.rates_of(node)
-            for name in catalog:
-                assert fast.rate_of(node, name) == ref_rates.get(
-                    name, 0.0
-                ), (node, name)
-    return fast_report
+            assert fast.cs_contents(node) == ref.cs_contents(node), (
+                f"{mode}: store mismatch at node {node}"
+            )
+        if policy == "rate-hop":
+            for node in range(len(topo)):
+                ref_rates = ref.rates_of(node)
+                for name in catalog:
+                    assert fast.rate_of(node, name) == ref_rates.get(
+                        name, 0.0
+                    ), (mode, node, name)
 
 
 EQUIVALENCE_CASES = [
@@ -442,6 +448,39 @@ def test_engine_matches_packet_level_reference(policy, kw):
     run_pair(policy, **kw)
 
 
+RATE_WEIGHTS = st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]) | (
+    st.tuples(st.floats(0, 4), st.floats(0, 4)).filter(lambda w: sum(w) > 0)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fues_per_fap=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    caps=st.tuples(*[st.integers(0, 3)] * 3),
+    policy=st.sampled_from(POLICY_NAMES),
+    rule=st.sampled_from(ScoreRule),
+    d2d=st.booleans(),
+    cache_d2d=st.booleans(),
+    tau=st.floats(0.25, 40),
+    weights=RATE_WEIGHTS,
+    catalog_size=st.integers(2, 8),
+    exponent=st.sampled_from([0.0, 0.8, 1.5]),
+    interests=st.integers(1, 25),
+    seed=st.integers(0, 2**16),
+)
+def test_engine_matches_reference_on_drawn_scenarios(
+    fues_per_fap, caps, policy, rule, d2d, cache_d2d, tau, weights,
+    catalog_size, exponent, interests, seed,
+):
+    alpha, beta = weights
+    run_pair(
+        policy, modes=("plain", "debug"), n_faps=len(fues_per_fap),
+        fues_per_fap=fues_per_fap, caps=caps, d2d=d2d, cache_d2d=cache_d2d,
+        catalog_size=catalog_size, tau=tau, alpha=alpha, beta=beta,
+        rule=rule, exponent=exponent, seed=seed, interests=interests,
+    )
+
+
 # -- debug instrumentation --------------------------------------------------
 
 def debug_sim():
@@ -469,27 +508,6 @@ def test_debug_detects_unsolicited_data():
     topo, sim = debug_sim()
     with pytest.raises(InvariantViolation, match="unsolicited"):
         sim._consume(topo.bbu(), 0)
-
-
-def test_debug_detects_rate_bump_outside_live_set():
-    topo = chain((0, 0, 0))
-    sim = Simulation(topo, Catalog(2), "rate-hop", debug=True)
-    fue = topo.fues()[0]
-    sim.request(fue, "c1", 0.0)
-    sim._live[fue].clear()  # the window count stays 1, so no re-add
-    with pytest.raises(InvariantViolation, match="live set"):
-        sim.request(fue, "c1", 1.0)
-
-
-def test_debug_detects_d2d_rate_bump_outside_live_set():
-    topo = build_topology(1, [2], Capacities(bbu=0, fap=0, fue=1), True)
-    sim = Simulation(topo, Catalog(2), "rate-hop", debug=True)
-    u1, u2 = topo.fues()
-    sim.request(u2, "c1", 0.0)  # u2 caches c1
-    sim.request(u1, "c1", 1.0)  # served by u2 over D2D
-    sim._live[u1].clear()
-    with pytest.raises(InvariantViolation, match="live set"):
-        sim.request(u1, "c1", 2.0)
 
 
 def test_final_check_flags_leftover_pending_state():

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +40,19 @@ def test_demand_must_sit_at_devices(two_fap_topo):
     bad = DemandSpec({("c1", two_fap_topo.bbu()): 1.0})
     with pytest.raises(ValueError, match="not user equipment"):
         bad.validate(two_fap_topo)
+
+
+def test_demand_whose_sums_overflow_is_rejected():
+    topo = build_topology(1, [2], Capacities(bbu=1, fap=1, fue=1))
+    u1, u2 = topo.fues()
+    demand = DemandSpec({("c1", u1): 1e308, ("c1", u2): 1e308})
+    with pytest.raises(ValueError, match="hop-weighted total is not finite"):
+        demand.validate(topo)
+    with pytest.raises(ValueError, match="not finite"):
+        brute_force_optimal(topo, demand)
+    # A total just inside the float range still evaluates finitely.
+    demand = DemandSpec({("c1", u1): 1e307, ("c1", u2): 1e307})
+    assert math.isfinite(brute_force_optimal(topo, demand)[1])
 
 
 def test_demand_rates_must_be_nonnegative(two_fap_topo):
