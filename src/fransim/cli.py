@@ -175,20 +175,34 @@ def load_demand_csv(path: str, topo: Topology) -> DemandSpec:
                     f"demand table {path} must have columns name,fue,rate"
                 )
             for line in reader:
+                where = f"bad demand table {path}, line {reader.line_num}"
                 if None in line or None in line.values():
                     raise ConfigError(
-                        f"bad demand table {path}, line {reader.line_num}: "
-                        "expected the three fields name,fue,rate"
+                        f"{where}: expected the three fields name,fue,rate"
                     )
-                key = (line["name"].strip(), _node_id(line["fue"], topo))
+                device = line["fue"].strip()
+                try:
+                    fue = _node_id(device, topo)
+                except ValueError:
+                    raise ConfigError(
+                        f"{where}: unknown device {device!r}"
+                    ) from None
+                try:
+                    rate = float(line["rate"])
+                except ValueError:
+                    raise ConfigError(
+                        f"{where}: rate {line['rate'].strip()!r} is not a "
+                        "number"
+                    ) from None
+                key = (line["name"].strip(), fue)
                 if key in first_line:
                     raise ConfigError(
                         f"bad demand table {path}, lines {first_line[key]} "
                         f"and {reader.line_num}: both give content "
-                        f"{key[0]} at device {line['fue'].strip()}"
+                        f"{key[0]} at device {device}"
                     )
                 first_line[key] = reader.line_num
-                base[key] = float(line["rate"])
+                base[key] = rate
     except OSError as exc:
         raise ConfigError(f"cannot read demand table {path}: {exc}") from exc
     except ValueError as exc:
@@ -229,7 +243,6 @@ def demand_from_trace(path: str, topo: Topology) -> DemandSpec:
 
 
 def _node_id(text: str, topo: Topology) -> int:
-    text = text.strip()
     if text in topo.label_to_id:
         return topo.label_to_id[text]
     return int(text)

@@ -32,6 +32,8 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .config import ScenarioConfig
 from .errors import InvariantViolation
 from .policies import PolicyConfig, ScoreRule, POLICY_NAMES
@@ -53,6 +55,19 @@ _TICK_LINE = (
     '{"kind": "tick", "name": null, "node": null, "outcome": "refresh", '
     '"seq": %d, "time": %r}\n'
 )
+
+
+def _plain_time(now):
+    """``now`` as the Python int or float whose ``%r`` is its JSON form:
+    a numpy scalar becomes its Python number, and anything else that is
+    not exactly an int or a float (a bool included) is refused."""
+    if isinstance(now, np.generic):
+        now = now.item()
+    if type(now) is not int and type(now) is not float:
+        raise TypeError(
+            f"time must be an int or a float, got {type(now).__name__}"
+        )
+    return now
 
 
 @dataclass
@@ -80,9 +95,11 @@ class Simulation:
 
     ``trace``, if given, receives every event record as its finished
     JSON line, newline included: a list gets each line appended, any
-    other value is called with it.  Trace times must then be Python
-    ints or floats, as the schedule and the ticks always are; ``%r`` of
-    a numpy scalar is not JSON.
+    other value is called with it.  :meth:`request` and :meth:`tick`
+    take times as Python or numpy ints and floats and write a numpy
+    time as its Python number (``np.int64(3)`` as ``3``,
+    ``np.float64(1.5)`` as ``1.5``); any other time raises
+    ``TypeError``.
     """
 
     def __init__(
@@ -195,6 +212,7 @@ class Simulation:
 
     def tick(self, now: float) -> None:
         """Refresh every node's demand estimates (window -> smoothed)."""
+        now = _plain_time(now)
         self.seq += 1
         if self._is_ratehop:
             alpha = self.config.alpha
@@ -212,7 +230,7 @@ class Simulation:
 
     def request(self, fue: int, name: str, now: float) -> None:
         """Process one consumer request to completion."""
-        self._request(fue, self.catalog.index[name], now)
+        self._request(fue, self.catalog.index[name], _plain_time(now))
 
     def _request(self, fue: int, rank: int, now: float) -> None:
         self.seq += 1

@@ -114,10 +114,13 @@ def objective_value(
 
 
 def _tree_walk(topo: Topology, demand: DemandSpec):
-    """What the evaluator reads that no placement changes: the sorted
-    contents, their base rates, the devices, each access point with its
-    children, the BBU and the hop weights.  Callers that evaluate many
-    placements build it once."""
+    """Validate the demand against the tree, then read once what no
+    placement changes: the sorted contents, their base rates, the
+    devices, each access point with its children, the BBU and the hop
+    weights.  Every oracle entry point reads its instance through this,
+    so each validates exactly once; callers that evaluate many
+    placements or expand the objective reuse the walk."""
+    demand.validate(topo)
     return (
         demand.contents(),
         demand.base_rate,
@@ -159,8 +162,7 @@ def _objective(walk, placement):
     return value
 
 
-def _guard(topo: Topology, demand: DemandSpec) -> tuple[list[str], list[NodeId]]:
-    contents = demand.contents()
+def _guard(topo: Topology, contents: list[str]) -> list[NodeId]:
     nodes = [n for n in caching_nodes(topo) if topo.capacity[n] > 0]
     size = len(contents) * len(nodes)
     if size > ENUMERATION_LIMIT:
@@ -169,7 +171,7 @@ def _guard(topo: Topology, demand: DemandSpec) -> tuple[list[str], list[NodeId]]
             f"{size} binary variables exceeds the exhaustive-search "
             f"limit of {ENUMERATION_LIMIT}"
         )
-    return contents, nodes
+    return nodes
 
 
 def brute_force_optimal(
@@ -180,9 +182,9 @@ def brute_force_optimal(
     Ties go to the lexicographically smallest assignment vector, with
     variables ordered by (content, node id), so the result is unique.
     """
-    demand.validate(topo)
-    contents, nodes = _guard(topo, demand)
     walk = _tree_walk(topo, demand)
+    contents = walk[0]
+    nodes = _guard(topo, contents)
     per_node_choices = []
     for node in nodes:
         cap = min(topo.capacity[node], len(contents))
@@ -272,54 +274,44 @@ def linearize(
     ``drop_zero_capacity`` the variables of zero-capacity stores are
     pre-substituted to 0 and their monomials dropped.
     """
-    demand.validate(topo)
-    contents = demand.contents()
-    bbu = topo.bbu()
-    hop = topo.hop_from_core
-    h_bbu = hop[bbu]
+    return _expand(topo, _tree_walk(topo, demand), drop_zero_capacity)
 
-    def keep(node: NodeId) -> bool:
-        return not drop_zero_capacity or topo.capacity[node] > 0
+
+def _expand(topo: Topology, walk, drop_zero_capacity: bool):
+    contents, base, _, faps, bbu, hop = walk
+    kept = [
+        node for node in caching_nodes(topo)
+        if not drop_zero_capacity or topo.capacity[node] > 0
+    ]
+    keep = set(kept)
 
     # Accumulate monomial -> coefficient.  Iteration order (content,
     # then device id) fixes the auxiliary numbering deterministically.
     coeffs: dict[frozenset[str], float] = {}
-
-    def add(term: frozenset[str], coeff: float) -> None:
-        coeffs[term] = coeffs.get(term, 0.0) + coeff
-
     for name in contents:
-        xb = _x_name(topo, name, bbu)
-        for fue in topo.fues():
-            rate = demand.base_rate.get((name, fue), 0.0)
-            if rate == 0.0:
-                continue
-            fap = topo.parent[fue]
-            xu = _x_name(topo, name, fue)
-            xa = _x_name(topo, name, fap)
-            ok_u, ok_a, ok_b = keep(fue), keep(fap), keep(bbu)
-            h_fap = hop[fap]
-            # Access-point value: x_a thinned by the device copy.
-            if ok_a:
-                add(frozenset([xa]), h_fap * rate)
-                if ok_u:
-                    add(frozenset([xa, xu]), -h_fap * rate)
-            # BBU value: x_b thinned by both lower copies.
-            if ok_b:
-                add(frozenset([xb]), h_bbu * rate)
-                if ok_a:
-                    add(frozenset([xa, xb]), -h_bbu * rate)
-                if ok_u:
-                    add(frozenset([xu, xb]), -h_bbu * rate)
-                if ok_a and ok_u:
-                    add(frozenset([xu, xa, xb]), h_bbu * rate)
+        for fap, children in faps:
+            for fue in children:
+                rate = base.get((name, fue), 0.0)
+                if rate == 0.0:
+                    continue
+                # Each copy earns its hop weight times the rate thinned
+                # by (1 - x) at every kept store below it; the product
+                # expands to one signed term per subset of those stores.
+                for node, below in ((fap, (fue,)), (bbu, (fap, fue))):
+                    if node not in keep:
+                        continue
+                    own = _x_name(topo, name, node)
+                    thin = [_x_name(topo, name, n) for n in below if n in keep]
+                    for k in range(len(thin) + 1):
+                        coeff = (-1) ** k * hop[node] * rate
+                        for subset in itertools.combinations(thin, k):
+                            term = frozenset((own, *subset))
+                            coeffs[term] = coeffs.get(term, 0.0) + coeff
 
     x_vars = []
     x_key = {}
     for name in contents:
-        for node in caching_nodes(topo):
-            if not keep(node):
-                continue
+        for node in kept:
             var = _x_name(topo, name, node)
             x_vars.append(var)
             x_key[var] = (name, node)
@@ -346,9 +338,7 @@ def linearize(
         constraints.append(Constraint(lower, len(term) - 1.0))
         constraints.append(Constraint({z: -1.0}, 0.0))
 
-    for node in caching_nodes(topo):
-        if not keep(node):
-            continue
+    for node in kept:
         coeffs_cap = {
             _x_name(topo, name, node): 1.0
             for name in contents
@@ -439,10 +429,9 @@ def verify_linearization(
     constraints.  Returns a falsy report naming the first
     counterexample otherwise.
     """
+    walk = _tree_walk(topo, demand)
     if program is None:
-        program = linearize(topo, demand)  # validates the demand
-    else:
-        demand.validate(topo)
+        program = _expand(topo, walk, False)
     # Guard on the program's own width: it may list zero-capacity
     # stores' variables, so it can be wider than the placement search.
     if len(program.x_vars) > ENUMERATION_LIMIT:
@@ -461,7 +450,6 @@ def verify_linearization(
     for i, (_, node) in enumerate(keys):
         held.setdefault(node, []).append(i)
     stores = [(topo.capacity[node], idx) for node, idx in held.items()]
-    walk = _tree_walk(topo, demand)
 
     best_direct = None
     best_linear = None

@@ -7,15 +7,25 @@ the same way in ``cli``.  A renamed or dropped name would only surface
 as a ``KeyError`` in a benchmark run, so check every target here.
 ``perfbench/drives.py`` builds simulations and oracle inputs itself;
 running each drive on tiny inputs catches a break in the engine or
-oracle surface it uses before a benchmark pass does.
+oracle surface it uses before a benchmark pass does.  Each workload's
+command also runs here once at the default seed, so output that no
+longer matches ``perfbench/golden.json`` fails the suite, not only a
+benchmark pass.
 """
 
+import contextlib
 import importlib.util
+import io
+import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from fransim import cli, engine, oracle, plotting, policies, topology, workload
+import pytest
+
+from fransim import (
+    cli, config, engine, errors, oracle, plotting, policies, topology, workload,
+)
 from fransim.oracle import DemandSpec
 from fransim.policies import POLICY_NAMES, PolicyConfig
 from fransim.topology import Capacities, build_topology
@@ -83,3 +93,28 @@ def test_every_drive_runs_on_tiny_inputs():
     assert drives.objective_us(fs, small, demand, evaluations=20) > 0
     z_vars, constraints = drives.program_size(fs, small, demand)
     assert z_vars > 0 and constraints > 0
+
+
+@pytest.mark.parametrize("name", sorted(load("workloads").WORKLOADS))
+def test_workload_output_matches_the_golden_fingerprints(
+    tmp_path, monkeypatch, name
+):
+    fs = SimpleNamespace(cli=cli, config=config, engine=engine, errors=errors,
+                         oracle=oracle, plotting=plotting, policies=policies,
+                         topology=topology, workload=workload)
+    # Printed paths are part of the output: use the benchmark's own
+    # relative work directory, as ``perfbench/run.py`` does.
+    monkeypatch.chdir(tmp_path)
+    work = Path(".perfbench_work") / name
+    bench = load("workloads").WORKLOADS[name](fs, work, 0)
+    bench.prepare()
+    codes, stdouts = [], []
+    for argv in bench.commands():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes.append(cli.main(argv))
+        stdouts.append(out.getvalue())
+    ops = bench.check(codes, stdouts)
+    assert [(op.id, op.problems) for op in ops if op.problems] == []
+    golden = json.loads((PERFBENCH / "golden.json").read_text())[name]
+    assert {op.id: op.fingerprint for op in ops} == golden

@@ -759,6 +759,20 @@ def test_oracle_rejects_malformed_inputs(tmp_path, capsys, source, text,
     assert f"{path}, line " in err
 
 
+@pytest.mark.parametrize("row,cause", [
+    ("c2,fue9,2", "unknown device 'fue9'"),
+    ("c2,fue2,abc", "rate 'abc' is not a number"),
+], ids=["unknown-device", "rate-not-a-number"])
+def test_demand_table_errors_name_the_line_and_cause(tmp_path, capsys, row,
+                                                     cause):
+    cfg, _ = oracle_setup(tmp_path)
+    demand = write(tmp_path, "d.csv", f"name,fue,rate\nc1,fue1,1\n{row}\n")
+    assert main(["oracle", cfg, "--demand", demand]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad demand table {demand}, line 3: {cause}" in captured.err
+
+
 def test_demand_csv_schema_is_strict(tmp_path):
     topo = build_topology(2, [1, 1], Capacities(2, 1, 0))
     bad = write(tmp_path, "d.csv", "name,device,rate\nc1,fue1,1\n")

@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -285,6 +286,32 @@ def test_trace_lines_equal_sorted_json_dumps(records):
     assert lines == [
         json.dumps(record, sort_keys=True) + "\n" for record in records
     ]
+
+
+def test_scripted_numpy_times_write_json_trace_lines():
+    topo = chain((1, 1, 1))
+    lines: list[str] = []
+    sim = Simulation(topo, Catalog(3), "fifo", trace=lines)
+    fue = topo.fues()[0]
+    sim.request(fue, "c1", np.float64(1.5))  # 7 records up and down
+    sim.tick(np.int64(3))
+    sim.request(fue, "c1", 4)  # an own hit: 1 record
+    times = [json.loads(line)["time"] for line in lines]
+    assert times == [1.5] * 7 + [3, 4]
+    assert lines[7].endswith('"time": 3}\n')
+    assert lines[8].endswith('"time": 4}\n')  # an int stays an int
+
+
+@pytest.mark.parametrize("now", ["1", None, True, np.bool_(True), 1j])
+def test_times_that_are_not_numbers_are_refused(now):
+    topo = chain((1, 1, 1))
+    lines: list[str] = []
+    sim = Simulation(topo, Catalog(3), "fifo", trace=lines)
+    with pytest.raises(TypeError, match="time must be an int or a float"):
+        sim.request(topo.fues()[0], "c1", now)
+    with pytest.raises(TypeError, match="time must be an int or a float"):
+        sim.tick(now)
+    assert lines == [] and sim.seq == 0
 
 
 def small(seeds):

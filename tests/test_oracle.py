@@ -10,6 +10,7 @@ from fransim.errors import InstanceTooLarge
 from fransim.oracle import (
     Constraint,
     DemandSpec,
+    LinearizedProgram,
     brute_force_optimal,
     caching_nodes,
     check_feasible,
@@ -60,6 +61,32 @@ def test_demand_rates_must_be_nonnegative(two_fap_topo):
     bad = DemandSpec({("c1", u1): -0.5})
     with pytest.raises(ValueError, match="negative"):
         bad.validate(two_fap_topo)
+
+
+@pytest.mark.parametrize("evaluator", [objective_value, propagate_rates])
+@pytest.mark.parametrize("case", [
+    "sums-overflow", "outside-the-tree", "access-point-as-device",
+])
+def test_public_evaluators_reject_invalid_demand(evaluator, case):
+    topo = build_topology(1, [2], Capacities(bbu=1, fap=1, fue=1))
+    u1, u2 = topo.fues()
+    fap = topo.faps()[0]
+    rates, placement, message = {
+        "sums-overflow": (
+            {("c1", u1): 1e308, ("c1", u2): 1e308},
+            {("c1", fap): 1, ("c1", topo.bbu()): 1},
+            "hop-weighted total is not finite",
+        ),
+        "outside-the-tree": (
+            {("c1", u1): 1.0, ("c1", len(topo)): 1.0}, {},
+            "not in the topology",
+        ),
+        "access-point-as-device": (
+            {("c1", u1): 1.0, ("c1", fap): 1.0}, {}, "not user equipment",
+        ),
+    }[case]
+    with pytest.raises(ValueError, match=message):
+        evaluator(topo, DemandSpec(rates), placement)
 
 
 def test_caching_nodes_excludes_producer(two_fap_topo):
@@ -404,6 +431,123 @@ def test_zero_capacity_stores_can_be_pre_substituted(
     for z in prog.z_vars:
         assert len(prog.monomials[z]) == 2
         assert not any("fue" in var for var in prog.monomials[z])
+
+
+def reference_linearize(topo, demand, *, drop_zero_capacity=False):
+    """The objective's product linearization with every term of the
+    expansion written out by hand: an access-point copy thinned by its
+    device's copy, a BBU copy thinned by both lower copies."""
+    demand.validate(topo)
+    contents = demand.contents()
+    bbu = topo.bbu()
+    hop = topo.hop_from_core
+    h_bbu = hop[bbu]
+
+    def keep(node):
+        return not drop_zero_capacity or topo.capacity[node] > 0
+
+    coeffs = {}
+
+    def add(term, coeff):
+        coeffs[term] = coeffs.get(term, 0.0) + coeff
+
+    for name in contents:
+        xb = xname(name, topo.labels[bbu])
+        for fue in topo.fues():
+            rate = demand.base_rate.get((name, fue), 0.0)
+            if rate == 0.0:
+                continue
+            fap = topo.parent[fue]
+            xu = xname(name, topo.labels[fue])
+            xa = xname(name, topo.labels[fap])
+            ok_u, ok_a, ok_b = keep(fue), keep(fap), keep(bbu)
+            h_fap = hop[fap]
+            if ok_a:
+                add(frozenset([xa]), h_fap * rate)
+                if ok_u:
+                    add(frozenset([xa, xu]), -h_fap * rate)
+            if ok_b:
+                add(frozenset([xb]), h_bbu * rate)
+                if ok_a:
+                    add(frozenset([xa, xb]), -h_bbu * rate)
+                if ok_u:
+                    add(frozenset([xu, xb]), -h_bbu * rate)
+                if ok_a and ok_u:
+                    add(frozenset([xu, xa, xb]), h_bbu * rate)
+
+    x_vars, x_key = [], {}
+    for name in contents:
+        for node in caching_nodes(topo):
+            if keep(node):
+                var = xname(name, topo.labels[node])
+                x_vars.append(var)
+                x_key[var] = (name, node)
+
+    objective, monomials, z_vars, constraints = {}, {}, [], []
+    for term, coeff in coeffs.items():
+        if coeff == 0.0:
+            continue
+        if len(term) == 1:
+            (var,) = term
+            objective[var] = objective.get(var, 0.0) + coeff
+            continue
+        z = f"z{len(z_vars) + 1}"
+        z_vars.append(z)
+        monomials[z] = term
+        objective[z] = coeff
+        for factor in sorted(term):
+            constraints.append(Constraint({z: 1.0, factor: -1.0}, 0.0))
+        lower = {z: -1.0}
+        lower.update({factor: 1.0 for factor in sorted(term)})
+        constraints.append(Constraint(lower, len(term) - 1.0))
+        constraints.append(Constraint({z: -1.0}, 0.0))
+    for node in caching_nodes(topo):
+        if keep(node):
+            constraints.append(Constraint(
+                {xname(name, topo.labels[node]): 1.0 for name in contents},
+                float(topo.capacity[node]),
+            ))
+    return LinearizedProgram(
+        x_vars, z_vars, x_key, monomials, objective, constraints
+    )
+
+
+@st.composite
+def linearizable_instances(draw):
+    """Trees of 1-3 F-APs x 1-3 devices with capacities 0-2, and demand
+    over 1-4 contents with zero, tied and arbitrary rates."""
+    faps = draw(st.integers(1, 3))
+    topo = build_topology(
+        faps,
+        draw(st.lists(st.integers(1, 3), min_size=faps, max_size=faps)),
+        Capacities(*draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))),
+    )
+    rates = st.none() | RATES | st.floats(0, 1e6)
+    demand = {}
+    for c in range(1, draw(st.integers(1, 4)) + 1):
+        for fue in topo.fues():
+            rate = draw(rates)
+            if rate is not None:
+                demand[(f"c{c}", fue)] = rate
+    return topo, DemandSpec(demand)
+
+
+@settings(max_examples=150, deadline=None)
+@given(linearizable_instances())
+def test_linearize_matches_the_written_out_expansion(instance):
+    topo, demand = instance
+    for drop in (False, True):
+        shipped = linearize(topo, demand, drop_zero_capacity=drop)
+        reference = reference_linearize(topo, demand, drop_zero_capacity=drop)
+        assert shipped.to_text().encode() == reference.to_text().encode()
+        assert list(shipped.objective.items()) == list(
+            reference.objective.items()
+        )
+        assert shipped.x_vars == reference.x_vars
+        assert shipped.x_key == reference.x_key
+        assert shipped.z_vars == reference.z_vars
+        assert shipped.monomials == reference.monomials
+        assert shipped.constraints == reference.constraints
 
 
 def test_chain_expansion_has_three_pair_terms_and_one_triple():
