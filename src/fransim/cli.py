@@ -24,6 +24,7 @@ from .errors import ConfigError, InstanceTooLarge, InvariantViolation
 from .oracle import (
     DemandSpec,
     brute_force_optimal,
+    check_device,
     linearize,
     verify_linearization,
 )
@@ -187,6 +188,11 @@ def load_demand_csv(path: str, topo: Topology) -> DemandSpec:
                     raise ConfigError(
                         f"{where}: unknown device {device!r}"
                     ) from None
+                key = (line["name"].strip(), fue)
+                try:
+                    check_device(key[0], fue, topo)
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: {exc}") from None
                 try:
                     rate = float(line["rate"])
                 except ValueError:
@@ -194,7 +200,6 @@ def load_demand_csv(path: str, topo: Topology) -> DemandSpec:
                         f"{where}: rate {line['rate'].strip()!r} is not a "
                         "number"
                     ) from None
-                key = (line["name"].strip(), fue)
                 if key in first_line:
                     raise ConfigError(
                         f"bad demand table {path}, lines {first_line[key]} "

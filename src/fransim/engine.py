@@ -30,6 +30,7 @@ import itertools
 import math
 import multiprocessing
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,14 +60,17 @@ _TICK_LINE = (
 
 def _plain_time(now):
     """``now`` as the Python int or float whose ``%r`` is its JSON form:
-    a numpy scalar becomes its Python number, and anything else that is
-    not exactly an int or a float (a bool included) is refused."""
+    a numpy scalar becomes its Python number, anything else that is not
+    exactly an int or a float (a bool included) raises ``TypeError``, and
+    NaN or an infinity, which JSON cannot hold, raises ``ValueError``."""
     if isinstance(now, np.generic):
         now = now.item()
     if type(now) is not int and type(now) is not float:
         raise TypeError(
             f"time must be an int or a float, got {type(now).__name__}"
         )
+    if not math.isfinite(now):
+        raise ValueError(f"time must be finite, got {now}")
     return now
 
 
@@ -99,7 +103,7 @@ class Simulation:
     take times as Python or numpy ints and floats and write a numpy
     time as its Python number (``np.int64(3)`` as ``3``,
     ``np.float64(1.5)`` as ``1.5``); any other time raises
-    ``TypeError``.
+    ``TypeError``, and a NaN or infinite one ``ValueError``.
     """
 
     def __init__(
@@ -131,20 +135,20 @@ class Simulation:
         self._rate_only = self.config.score_rule is ScoreRule.RATE_ONLY
 
         # Per-node state, indexed by NodeId.  Stores map content rank
-        # (0-based) to its weight for the selective policy, where an
-        # entry scores rate * weight, and to None for FIFO/LRU, which
-        # only need dict order.
+        # (0-based) to the weight its data was fetched with (1 under the
+        # rate-only rule); rate-hop scores an entry rate * weight, and
+        # FIFO/LRU only need dict order.
         self._cs: list[dict] = [{} for _ in range(n)]
         self._pit: list[set] = [set() for _ in range(n)]
-        if self._is_ratehop:
-            # Each node maps every rank it has seen to [smoothed rate,
-            # window count].  A request's window count creates the
-            # entry, and its rate bumps follow at the same nodes, so
-            # every stored rank has one.  An unseen rank has rate 0.0
-            # and count 0, which a refresh leaves at 0.0, so refreshing
-            # the entries gives the rates a whole-catalog refresh would.
-            self._demand: list[dict[int, list]] = [{} for _ in range(n)]
-            self._min_score: list[float | None] = [None] * n
+        # Each node maps every rank it has seen to [smoothed rate, window
+        # count]; only rate-hop writes here.  A window count creates the
+        # entry before any rate bump or admission at that node reads it.
+        # An unseen rank has rate 0.0, which a refresh keeps, so refreshing
+        # the entries gives the rates a whole-catalog refresh would.
+        self._demand: list[defaultdict[int, list]] = [
+            defaultdict([0.0, 0].copy) for _ in range(n)
+        ]
+        self._min_score: list[float | None] = [None] * n
         # With D2D on, each device refers to its access point's group:
         # the stores of the access point's devices in device-id order,
         # so a D2D lookup that asks them in turn finds the lowest-id
@@ -180,13 +184,11 @@ class Simulation:
             raise ValueError(
                 f"demand rate must be finite and non-negative, got {rate}"
             )
-        rank = self.catalog.index[name]
-        self._demand[node].setdefault(rank, [0.0, 0])[0] = float(rate)
+        self._demand[node][self.catalog.index[name]][0] = float(rate)
         self._min_score[node] = None
 
     def rate_of(self, node: int, name: str) -> float:
-        if not self._is_ratehop:
-            return 0.0
+        """The tracked rate, 0.0 if unseen; reading creates no entry."""
         return self._demand[node].get(self.catalog.index[name], (0.0,))[0]
 
     def report(self) -> MetricsReport:
@@ -214,15 +216,14 @@ class Simulation:
         """Refresh every node's demand estimates (window -> smoothed)."""
         now = _plain_time(now)
         self.seq += 1
-        if self._is_ratehop:
-            alpha = self.config.alpha
-            beta = self.config.beta
-            denom = alpha + beta
-            for demand in self._demand:
-                for entry in demand.values():
-                    entry[0] = (alpha * entry[1] + beta * entry[0]) / denom
-                    entry[1] = 0
-            self._min_score = [None] * len(self._demand)
+        alpha = self.config.alpha
+        beta = self.config.beta
+        denom = alpha + beta
+        for demand in self._demand:
+            for entry in demand.values():
+                entry[0] = (alpha * entry[1] + beta * entry[0]) / denom
+                entry[1] = 0
+        self._min_score = [None] * len(self._demand)
         if self._emit is not None:
             self._emit(_TICK_LINE % (self.seq, now))
         if self.debug:
@@ -251,14 +252,8 @@ class Simulation:
             if emit is not None:
                 self._trace(now, seq, fue, "interest", rank, "own-hit")
             return
-        # The window count is inlined at each tier: as a method call it
-        # slowed a paper-scale rate-hop replay by about 4 %.
         if ratehop:
-            entry = self._demand[fue].get(rank)
-            if entry is None:
-                self._demand[fue][rank] = [0.0, 1]
-            else:
-                entry[1] += 1
+            self._demand[fue][rank][1] += 1
         if debug:
             self._forward(fue, rank)
         if emit is not None:
@@ -267,11 +262,7 @@ class Simulation:
         # Tier 1: the access point (which may broker a D2D serve).
         fap = path[1]
         if ratehop:
-            entry = self._demand[fap].get(rank)
-            if entry is None:
-                self._demand[fap][rank] = [0.0, 1]
-            else:
-                entry[1] += 1
+            self._demand[fap][rank][1] += 1
         store_a = cs[fap]
         if rank in store_a:
             if self._is_lru:
@@ -309,11 +300,7 @@ class Simulation:
         # Tier 2: the BBU pool.
         bbu = path[2]
         if ratehop:
-            entry = self._demand[bbu].get(rank)
-            if entry is None:
-                self._demand[bbu][rank] = [0.0, 1]
-            else:
-                entry[1] += 1
+            self._demand[bbu][rank][1] += 1
         store_b = cs[bbu]
         if rank in store_b:
             if self._is_lru:
@@ -364,8 +351,7 @@ class Simulation:
             return
         store = self._cs[node]
         ratehop = self._is_ratehop
-        if ratehop:
-            weight = 1 if self._rate_only else fetch_hops
+        weight = 1 if self._rate_only else fetch_hops
         if len(store) >= cap:
             if ratehop:
                 demand = self._demand[node]
@@ -383,11 +369,9 @@ class Simulation:
             else:
                 victim = next(iter(store))
             del store[victim]
+        store[rank] = weight
         if ratehop:
-            store[rank] = weight
             self._min_score[node] = None
-        else:
-            store[rank] = None
 
     def _trace(self, now, seq, node, kind, rank, outcome) -> None:
         self._emit(_EVENT_LINE % (

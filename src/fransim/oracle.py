@@ -40,16 +40,7 @@ class DemandSpec:
 
     def validate(self, topo: Topology) -> None:
         for (name, fue), rate in self.base_rate.items():
-            if not 0 <= fue < len(topo):
-                raise ValueError(
-                    f"demand for {name!r} at node {fue}, which is not in "
-                    f"the topology (node ids 0..{len(topo) - 1})"
-                )
-            if topo.roles[fue] is not NodeRole.FUE:
-                raise ValueError(
-                    f"demand for {name!r} at node {fue}, which is not "
-                    "user equipment"
-                )
+            check_device(name, fue, topo)
             if not (math.isfinite(rate) and rate >= 0):
                 raise ValueError(
                     f"demand rate for {name!r} at {fue} must be finite and "
@@ -67,6 +58,20 @@ class DemandSpec:
                 f"the demand's hop-weighted total is not finite ({total}): "
                 "rates this large overflow the objective"
             )
+
+
+def check_device(name: str, node: NodeId, topo: Topology) -> None:
+    """Raise ``ValueError`` unless ``node`` is a device of ``topo``."""
+    if not 0 <= node < len(topo):
+        raise ValueError(
+            f"demand for {name!r} at node {node}, which is not in "
+            f"the topology (node ids 0..{len(topo) - 1})"
+        )
+    if topo.roles[node] is not NodeRole.FUE:
+        raise ValueError(
+            f"demand for {name!r} at node {node}, which is not "
+            "user equipment"
+        )
 
 
 def caching_nodes(topo: Topology) -> list[NodeId]:

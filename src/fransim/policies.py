@@ -15,6 +15,7 @@ expensive to re-fetch is retained.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,9 +43,13 @@ class PolicyConfig:
             raise ConfigError("refresh period tau must be finite and positive")
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ConfigError("rate weights must be finite")
-        if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta == 0:
+        # With a subnormal sum the refresh rounds so coarsely that the
+        # rate can leave its inputs' range.
+        total = self.alpha + self.beta
+        if self.alpha < 0 or self.beta < 0 or total < sys.float_info.min:
             raise ConfigError(
-                "rate weights must be non-negative with a positive sum"
+                "rate weights must be non-negative with a positive sum "
+                f"that is a normal float (at least {sys.float_info.min})"
             )
 
 
@@ -53,9 +58,9 @@ def refreshed_rate(
 ) -> float:
     """Weighted average of the fresh observation and the old estimate.
 
-    Returns ``(alpha * window_count + beta * old_rate) / (alpha + beta)``,
-    a convex combination, so the result always lies between the two
-    inputs and scales linearly with them.
+    Returns ``(alpha * window_count + beta * old_rate) / (alpha + beta)``.
+    For weights ``PolicyConfig`` accepts this is a convex combination, so
+    the result lies between the two inputs and scales linearly with them.
     """
     return (alpha * window_count + beta * old_rate) / (alpha + beta)
 

@@ -335,6 +335,17 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "rate weights must be non-negative with a positive sum" in err
 
 
+def test_run_rejects_subnormal_rate_weight_sum(tmp_path, capsys):
+    # With beta alone at 5e-324 a refresh would turn a rate of 1.5 into 2.0.
+    cfg = write(tmp_path, "bad.yaml", """\
+        policy:
+          alpha: 0
+          beta: 5.0e-324
+        """)
+    assert main(["run", cfg]) == EXIT_CONFIG
+    assert "a normal float" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [".inf", ".nan"])
 @pytest.mark.parametrize("block, key", [
     ("workload", "exponent"), ("workload", "inter_arrival"),
@@ -771,6 +782,22 @@ def test_demand_table_errors_name_the_line_and_cause(tmp_path, capsys, row,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"bad demand table {demand}, line 3: {cause}" in captured.err
+
+
+@pytest.mark.parametrize("device,cause", [
+    ("999", "which is not in the topology"),
+    ("-1", "which is not in the topology"),
+    ("producer", "which is not user equipment"),
+    ("bbu", "which is not user equipment"),
+])
+def test_demand_table_device_errors_name_the_line(tmp_path, capsys, device,
+                                                  cause):
+    cfg, _ = oracle_setup(tmp_path)
+    demand = write(tmp_path, "d.csv", f"name,fue,rate\nc2,{device},2\n")
+    assert main(["oracle", cfg, "--demand", demand]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"bad demand table {demand}, line 2: demand for 'c2'" in err
+    assert cause in err
 
 
 def test_demand_csv_schema_is_strict(tmp_path):

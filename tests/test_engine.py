@@ -137,11 +137,21 @@ def test_rate_policy_keeps_hot_content():
 
 
 def test_seed_rate_requires_rate_policy():
-    topo = chain((1, 1, 1))
-    sim = Simulation(topo, Catalog(2), "fifo")
-    with pytest.raises(ValueError):
-        sim.seed_rate(topo.bbu(), "c1", 1.0)
-    assert sim.rate_of(topo.bbu(), "c1") == 0.0
+    # FIFO and LRU keep no rates, even after requests and refreshes.
+    topo = build_topology(2, [2, 2], Capacities(bbu=2, fap=1, fue=2), True)
+    catalog = Catalog(4)
+    u1, u2, u3, _ = topo.fues()
+    # u2's c1 misses its access point, which holds c2, and comes from u1.
+    rounds = [(u1, "c1"), (u1, "c2"), (u2, "c1"), (u3, "c3"), (u3, "c4")]
+    for policy in ("fifo", "lru"):
+        sim = Simulation(topo, catalog, policy, PolicyConfig(tau=2.0))
+        sim.run_schedule([(float(t), *rounds[t % 5]) for t in range(15)])
+        assert sim.report().hits_by_tier["d2d"] > 0
+        for node in range(len(topo)):
+            for name in catalog.names:
+                assert sim.rate_of(node, name) == 0.0
+        with pytest.raises(ValueError, match="only the rate-tracking"):
+            sim.seed_rate(topo.bbu(), "c1", 1.0)
 
 
 @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
@@ -312,6 +322,22 @@ def test_times_that_are_not_numbers_are_refused(now):
     with pytest.raises(TypeError, match="time must be an int or a float"):
         sim.tick(now)
     assert lines == [] and sim.seq == 0
+
+
+@pytest.mark.parametrize("now", [
+    float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+    np.float32("inf"),
+], ids=["nan", "inf", "-inf", "np-nan", "np-inf"])
+def test_non_finite_times_are_refused(now):
+    # NaN and the infinities have no JSON form for the trace line.
+    topo = chain((1, 1, 1))
+    lines: list[str] = []
+    sim = Simulation(topo, Catalog(3), "fifo", trace=lines)
+    with pytest.raises(ValueError, match="time must be finite"):
+        sim.request(topo.fues()[0], "c1", now)
+    with pytest.raises(ValueError, match="time must be finite"):
+        sim.tick(now)
+    assert lines == [] and sim.seq == 0 and sim.report().total_interests == 0
 
 
 def small(seeds):

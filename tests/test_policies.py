@@ -1,7 +1,8 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from _ndn import (
     CsEntry,
@@ -32,6 +33,9 @@ def test_config_rejects_bad_weights():
     with pytest.raises(ConfigError):
         PolicyConfig(tau=0.0)
     PolicyConfig(alpha=0.0, beta=2.0)  # one-sided weights are fine
+    with pytest.raises(ConfigError, match="normal float"):
+        PolicyConfig(alpha=1e-308, beta=1e-308)  # a subnormal sum
+    PolicyConfig(alpha=0.0, beta=sys.float_info.min)  # the smallest normal
 
 
 def test_make_policy_rejects_unknown():
@@ -92,9 +96,15 @@ def test_parent_counts_children_misses_not_local_serves():
     window=st.floats(0, 1e9),
     old=st.floats(0, 1e9),
 )
+@example(alpha=0.0, beta=5e-324, window=0.0, old=1.5)
 def test_refresh_is_convex_combination(alpha, beta, window, old):
-    if alpha + beta <= 0:
+    # A subnormal weight sum can leave the range (the example gives 2.0),
+    # so the config refuses it; every weight pair it accepts must not.
+    if alpha + beta < sys.float_info.min:
+        with pytest.raises(ConfigError):
+            PolicyConfig(alpha=alpha, beta=beta)
         return
+    PolicyConfig(alpha=alpha, beta=beta)
     value = refreshed_rate(alpha, beta, window, old)
     lo, hi = min(window, old), max(window, old)
     assert lo - 1e-9 * max(1.0, hi) <= value <= hi + 1e-9 * max(1.0, hi)
