@@ -24,7 +24,7 @@ from .errors import ConfigError, InstanceTooLarge, InvariantViolation
 from .oracle import (
     DemandSpec,
     brute_force_optimal,
-    check_device,
+    check_row,
     linearize,
     verify_linearization,
 )
@@ -190,16 +190,16 @@ def load_demand_csv(path: str, topo: Topology) -> DemandSpec:
                     ) from None
                 key = (line["name"].strip(), fue)
                 try:
-                    check_device(key[0], fue, topo)
-                except ValueError as exc:
-                    raise ConfigError(f"{where}: {exc}") from None
-                try:
                     rate = float(line["rate"])
                 except ValueError:
                     raise ConfigError(
                         f"{where}: rate {line['rate'].strip()!r} is not a "
                         "number"
                     ) from None
+                try:
+                    check_row(key[0], fue, rate, topo)
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: {exc}") from None
                 if key in first_line:
                     raise ConfigError(
                         f"bad demand table {path}, lines {first_line[key]} "

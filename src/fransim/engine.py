@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .errors import InvariantViolation
-from .policies import PolicyConfig, ScoreRule, POLICY_NAMES
+from .policies import MAX_RATE, PolicyConfig, ScoreRule, POLICY_NAMES
 from .topology import Catalog, Topology, distribute_fues
 from .workload import build_schedule
 
@@ -167,7 +167,7 @@ class Simulation:
 
         self.seq = 0
         self._n = 0
-        self._hits = [0, 0, 0, 0, 0]  # own, d2d, fap, bbu, producer
+        self._hits = [0] * len(TIER_KEYS)  # one count per tier, in order
 
     # -- public inspection / scripting helpers ------------------------
 
@@ -177,12 +177,15 @@ class Simulation:
         return {names[r] for r in self._cs[node]}
 
     def seed_rate(self, node: int, name: str, rate: float) -> None:
-        """Warm-start the tracked demand rate at one node."""
+        """Warm-start the tracked demand rate at one node.  ``rate`` must
+        be non-negative and at most ``MAX_RATE`` (2**53), under which a
+        refresh with any accepted weights stays finite."""
         if not self._is_ratehop:
             raise ValueError("only the rate-tracking policy keeps rates")
-        if not (math.isfinite(rate) and rate >= 0):
+        if not 0 <= rate <= MAX_RATE:
             raise ValueError(
-                f"demand rate must be finite and non-negative, got {rate}"
+                "demand rate must be non-negative and at most 2**53, "
+                f"got {rate}"
             )
         self._demand[node][self.catalog.index[name]][0] = float(rate)
         self._min_score[node] = None
@@ -200,13 +203,7 @@ class Simulation:
             total_interests=self._n,
             total_hops=2 * (d2d + fap) + 4 * bbu + 6 * prod,
             in_network_cache_hits=own + d2d + fap + bbu,
-            hits_by_tier={
-                "own_cs": own,
-                "d2d": d2d,
-                "fap": fap,
-                "bbu": bbu,
-                "producer": prod,
-            },
+            hits_by_tier=dict(zip(TIER_KEYS, self._hits)),
             fronthaul_packets=2 * (bbu + prod),
         )
 

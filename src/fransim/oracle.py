@@ -40,12 +40,7 @@ class DemandSpec:
 
     def validate(self, topo: Topology) -> None:
         for (name, fue), rate in self.base_rate.items():
-            check_device(name, fue, topo)
-            if not (math.isfinite(rate) and rate >= 0):
-                raise ValueError(
-                    f"demand rate for {name!r} at {fue} must be finite and "
-                    f"non-negative, got {rate}"
-                )
+            check_row(name, fue, rate, topo)
         # Every rate, sum and objective the evaluator forms is at most
         # this total, so a finite total keeps them all finite.
         hop = topo.hop_from_core
@@ -60,8 +55,9 @@ class DemandSpec:
             )
 
 
-def check_device(name: str, node: NodeId, topo: Topology) -> None:
-    """Raise ``ValueError`` unless ``node`` is a device of ``topo``."""
+def check_row(name: str, node: NodeId, rate: float, topo: Topology) -> None:
+    """Raise ``ValueError`` unless ``node`` is a device of ``topo`` and
+    ``rate`` is finite and non-negative."""
     if not 0 <= node < len(topo):
         raise ValueError(
             f"demand for {name!r} at node {node}, which is not in "
@@ -71,6 +67,11 @@ def check_device(name: str, node: NodeId, topo: Topology) -> None:
         raise ValueError(
             f"demand for {name!r} at node {node}, which is not "
             "user equipment"
+        )
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError(
+            f"demand rate for {name!r} at {node} must be finite and "
+            f"non-negative, got {rate}"
         )
 
 

@@ -149,9 +149,7 @@ def sweep_charts(rows: list[dict]) -> dict[str, str]:
     """
     charts: dict[str, str] = {}
     for d2d in (False, True):
-        subset = [r for r in rows if _truthy(r["d2d"])] if d2d else [
-            r for r in rows if not _truthy(r["d2d"])
-        ]
+        subset = [r for r in rows if _truthy(r["d2d"]) == d2d]
         if not subset:
             continue
         for metric, label in _METRICS:

@@ -23,6 +23,12 @@ from .errors import ConfigError
 
 POLICY_NAMES = ("fifo", "lru", "rate-hop")
 
+# Window counts and rates stay at most MAX_RATE (``seed_rate`` refuses
+# more), so weights at most MAX_RATE_WEIGHT keep both products of a
+# refresh at most half the largest float, and its sums finite.
+MAX_RATE = 2.0 ** 53
+MAX_RATE_WEIGHT = sys.float_info.max / 2 ** 54
+
 
 class ScoreRule(Enum):
     """How a cached entry is valued when choosing an eviction victim."""
@@ -43,6 +49,11 @@ class PolicyConfig:
             raise ConfigError("refresh period tau must be finite and positive")
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ConfigError("rate weights must be finite")
+        if max(self.alpha, self.beta) > MAX_RATE_WEIGHT:
+            raise ConfigError(
+                f"rate weights must be at most {MAX_RATE_WEIGHT} "
+                "(the largest float / 2**54), or a refresh can overflow"
+            )
         # With a subnormal sum the refresh rounds so coarsely that the
         # rate can leave its inputs' range.
         total = self.alpha + self.beta
@@ -59,8 +70,9 @@ def refreshed_rate(
     """Weighted average of the fresh observation and the old estimate.
 
     Returns ``(alpha * window_count + beta * old_rate) / (alpha + beta)``.
-    For weights ``PolicyConfig`` accepts this is a convex combination, so
-    the result lies between the two inputs and scales linearly with them.
+    For weights ``PolicyConfig`` accepts and inputs at most ``MAX_RATE``
+    this is a convex combination, so the result lies between the two
+    inputs and scales linearly with them.
     """
     return (alpha * window_count + beta * old_rate) / (alpha + beta)
 

@@ -48,12 +48,6 @@ class Catalog:
     def __len__(self) -> int:
         return len(self.names)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.index
-
-    def __iter__(self):
-        return iter(self.names)
-
 
 class Topology:
     """The four-tier tree; an access point's children are its D2D group.

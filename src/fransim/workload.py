@@ -67,19 +67,18 @@ def build_schedule(
     experiments see identical request streams.
     """
     names = Catalog(spec.catalog_size).names
-    per_fue: dict[NodeId, list[str]] = {}
-    for fue in fue_ids:
-        ranks = sample_ranks(
-            spec.exponent,
-            spec.catalog_size,
-            fue_rng(spec.seed, fue),
-            spec.interests_per_fue,
-        )
-        per_fue[fue] = [names[r - 1] for r in ranks.tolist()]
-    ordered_fues = sorted(fue_ids)
-    rows: list[tuple[float, NodeId, str]] = []
-    for i in range(spec.interests_per_fue):
-        t = i * spec.inter_arrival
-        for fue in ordered_fues:
-            rows.append((t, fue, per_fue[fue][i]))
-    return rows
+    n = spec.interests_per_fue
+    fues = sorted(fue_ids)
+    columns = [
+        [names[r - 1] for r in sample_ranks(
+            spec.exponent, spec.catalog_size, fue_rng(spec.seed, fue), n
+        ).tolist()]
+        for fue in fues
+    ]
+    # Every row of a step shares that step's one time object.
+    times = (i * spec.inter_arrival for i in range(n))
+    return [
+        (t, fue, name)
+        for t, draws in zip(times, zip(*columns))
+        for fue, name in zip(fues, draws)
+    ]

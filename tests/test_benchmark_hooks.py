@@ -4,7 +4,9 @@
 module or class that looks them up, reading each original from
 ``owner.__dict__``; untraced runs time each workload's ``timed_calls``
 the same way in ``cli``.  A renamed or dropped name would only surface
-as a ``KeyError`` in a benchmark run, so check every target here.
+as a ``KeyError`` in a benchmark run, so check every target here, and
+run one traced sweep to check that the spans the traced pass reads are
+recorded where it expects them.
 ``perfbench/drives.py`` builds simulations and oracle inputs itself;
 running each drive on tiny inputs catches a break in the engine or
 oracle surface it uses before a benchmark pass does.  Each workload's
@@ -93,6 +95,32 @@ def test_every_drive_runs_on_tiny_inputs():
     assert drives.objective_us(fs, small, demand, evaluations=20) > 0
     z_vars, constraints = drives.program_size(fs, small, demand)
     assert z_vars > 0 and constraints > 0
+
+
+def test_traced_sweep_records_the_spans_the_benchmark_reads(tmp_path):
+    # ``perfbench/run.py`` takes medians over these spans, which raises
+    # when a traced pass records none of them.
+    spans = load("spans")
+    fs = SimpleNamespace(cli=cli, engine=engine, oracle=oracle,
+                         plotting=plotting)
+    cfg = tmp_path / "s.yaml"
+    cfg.write_text(
+        "topology: {n_faps: 2}\n"
+        "workload: {catalog_size: 10, interests_per_fue: 20}\n"
+        "policy: {tau: 5}\n"
+        "run: {seeds: [0]}\n",
+        encoding="utf-8",
+    )
+    argv = ["sweep", str(cfg), "--fues", "2", "--d2d", "on",
+            "--output", str(tmp_path / "m.csv")]
+    with spans.patched(fs, spans.Recorder()) as rec:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == cli.EXIT_OK
+    for name in ("engine.run_single", "workload.build_schedule",
+                 "engine.Simulation.run_schedule", "engine.Simulation.tick"):
+        assert rec.named(name), name
+    for build in rec.named("workload.build_schedule"):
+        assert rec.spans[build[3]][0] == "engine.run_single"
 
 
 @pytest.mark.parametrize("name", sorted(load("workloads").WORKLOADS))

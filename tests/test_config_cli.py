@@ -264,6 +264,28 @@ def test_run_writes_one_row_per_seed(tmp_path, capsys):
         assert float(r["avg_hops"]) > 0
 
 
+SEED_YAML = """\
+    topology:
+      n_faps: 1
+      fues_per_fap: 2
+    workload:
+      catalog_size: 20
+      interests_per_fue: 30
+      seed: 7
+    """
+
+
+@pytest.mark.parametrize("extra,expected", [
+    ("", ["7"]),
+    ("run:\n  seeds: [1, 2]\n", ["1", "2"]),
+], ids=["workload-seed-alone", "run-seeds-win"])
+def test_run_falls_back_to_the_workload_seed(tmp_path, extra, expected):
+    cfg = write(tmp_path, "seed.yaml", textwrap.dedent(SEED_YAML) + extra)
+    out = str(tmp_path / "metrics.csv")
+    assert main(["run", cfg, "--output", out]) == EXIT_OK
+    assert [r["seed"] for r in read_csv(out)] == expected
+
+
 def test_run_is_byte_deterministic(tmp_path):
     cfg = run_config(tmp_path)
     a = str(tmp_path / "a.csv")
@@ -344,6 +366,24 @@ def test_run_rejects_subnormal_rate_weight_sum(tmp_path, capsys):
         """)
     assert main(["run", cfg]) == EXIT_CONFIG
     assert "a normal float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+def test_run_rejects_rate_weights_that_overflow_a_refresh(
+    tmp_path, capsys, key
+):
+    # With alpha and beta at 1e308 their sum is inf, and a refresh gives
+    # 0.0 or nan in place of a rate between its inputs.
+    cfg = write(tmp_path, "bad.yaml", f"""\
+        policy:
+          {key}: 1.0e+308
+        run:
+          seeds: [0]
+          output: {tmp_path / "m.csv"}
+        """)
+    assert main(["run", cfg]) == EXIT_CONFIG
+    assert "rate weights must be at most" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
 
 
 @pytest.mark.parametrize("value", [".inf", ".nan"])
@@ -770,10 +810,18 @@ def test_oracle_rejects_malformed_inputs(tmp_path, capsys, source, text,
     assert f"{path}, line " in err
 
 
+RATE_CAUSE = "demand rate for 'c2' at 5 must be finite and non-negative, got "
+
+
 @pytest.mark.parametrize("row,cause", [
     ("c2,fue9,2", "unknown device 'fue9'"),
     ("c2,fue2,abc", "rate 'abc' is not a number"),
-], ids=["unknown-device", "rate-not-a-number"])
+    ("c2,fue2,-1", RATE_CAUSE + "-1.0"),
+    ("c2,fue2,nan", RATE_CAUSE + "nan"),
+    ("c2,fue2,inf", RATE_CAUSE + "inf"),
+    ("c2,fue2,-inf", RATE_CAUSE + "-inf"),
+], ids=["unknown-device", "rate-not-a-number", "negative-rate", "nan-rate",
+        "inf-rate", "minus-inf-rate"])
 def test_demand_table_errors_name_the_line_and_cause(tmp_path, capsys, row,
                                                      cause):
     cfg, _ = oracle_setup(tmp_path)

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from fransim.config import ScenarioConfig
 from fransim.engine import Simulation, metrics_row, run_single, sweep
 from fransim.errors import InvariantViolation
 from fransim.policies import (
-    POLICY_NAMES, PolicyConfig, ScoreRule, refreshed_rate,
+    MAX_RATE, POLICY_NAMES, PolicyConfig, ScoreRule, refreshed_rate,
 )
 from fransim.topology import Capacities, Catalog, build_topology
 from fransim.workload import ZipfSpec, build_schedule
@@ -452,7 +453,7 @@ def run_pair(policy, modes=KERNEL_MODES, **kw):
         if policy == "rate-hop":
             for node in range(len(topo)):
                 ref_rates = ref.rates_of(node)
-                for name in catalog:
+                for name in catalog.names:
                     assert fast.rate_of(node, name) == ref_rates.get(
                         name, 0.0
                     ), (mode, node, name)
@@ -502,7 +503,9 @@ def test_engine_matches_packet_level_reference(policy, kw):
 
 
 RATE_WEIGHTS = st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]) | (
-    st.tuples(st.floats(0, 4), st.floats(0, 4)).filter(lambda w: sum(w) > 0)
+    st.tuples(st.floats(0, 4), st.floats(0, 4)).filter(
+        lambda w: sum(w) >= sys.float_info.min  # PolicyConfig refuses less
+    )
 )
 
 
@@ -532,6 +535,35 @@ def test_engine_matches_reference_on_drawn_scenarios(
         catalog_size=catalog_size, tau=tau, alpha=alpha, beta=beta,
         rule=rule, exponent=exponent, seed=seed, interests=interests,
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    weights=RATE_WEIGHTS,
+    old=st.floats(0, MAX_RATE),
+    k=st.integers(0, 12),
+)
+def test_engine_refresh_is_refreshed_rate_bit_for_bit(weights, old, k):
+    # With every store at capacity 0 each request climbs to the producer,
+    # so the device, the F-AP and the BBU each count it once and bump
+    # their rate once as its data passes on the way down.
+    alpha, beta = weights
+    topo = chain((0, 0, 0))
+    config = PolicyConfig(alpha=alpha, beta=beta)
+    sim = Simulation(topo, Catalog(2), "rate-hop", config)
+    fue = topo.fues()[0]
+    nodes = (fue, topo.parent[fue], topo.bbu())
+    for node in nodes:
+        sim.seed_rate(node, "c1", old)
+    for i in range(k):
+        sim.request(fue, "c1", i)
+    sim.tick(k)
+    rate = old
+    for _ in range(k):
+        rate += 1.0  # one bump per delivery, as the engine adds them
+    expected = refreshed_rate(alpha, beta, k, rate).hex()
+    for node in nodes:
+        assert sim.rate_of(node, "c1").hex() == expected, node
 
 
 # -- debug instrumentation --------------------------------------------------

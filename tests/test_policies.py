@@ -13,7 +13,9 @@ from _ndn import (
     make_policy,
 )
 from fransim.errors import ConfigError
-from fransim.policies import PolicyConfig, ScoreRule, refreshed_rate
+from fransim.policies import (
+    MAX_RATE_WEIGHT, PolicyConfig, ScoreRule, refreshed_rate,
+)
 
 
 def entry(inserted_at, fetch_hops, last_used_at=None):
@@ -91,20 +93,28 @@ def test_parent_counts_children_misses_not_local_serves():
 
 
 @given(
-    alpha=st.floats(0, 1e6),
-    beta=st.floats(0, 1e6),
+    alpha=st.floats(min_value=0),
+    beta=st.floats(min_value=0),
     window=st.floats(0, 1e9),
     old=st.floats(0, 1e9),
 )
 @example(alpha=0.0, beta=5e-324, window=0.0, old=1.5)
+@example(alpha=1e308, beta=1e308, window=1.0, old=1.0)
+@example(alpha=1e300, beta=0.0, window=1e9, old=0.0)
 def test_refresh_is_convex_combination(alpha, beta, window, old):
-    # A subnormal weight sum can leave the range (the example gives 2.0),
-    # so the config refuses it; every weight pair it accepts must not.
+    # A subnormal weight sum can leave the range (the first example gives
+    # 2.0), and weights near the largest float overflow (the second gives
+    # nan, the third inf), so the config refuses both and nothing else;
+    # every weight pair it accepts must stay in range.
     if alpha + beta < sys.float_info.min:
         with pytest.raises(ConfigError):
             PolicyConfig(alpha=alpha, beta=beta)
         return
-    PolicyConfig(alpha=alpha, beta=beta)
+    try:
+        PolicyConfig(alpha=alpha, beta=beta)
+    except ConfigError:
+        assert max(alpha, beta) > MAX_RATE_WEIGHT  # an infinity included
+        return
     value = refreshed_rate(alpha, beta, window, old)
     lo, hi = min(window, old), max(window, old)
     assert lo - 1e-9 * max(1.0, hi) <= value <= hi + 1e-9 * max(1.0, hi)

@@ -122,9 +122,8 @@ def test_distribute_fues_even_spread():
 
 def test_catalog_names_and_order():
     catalog = Catalog(3)
-    assert list(catalog) == ["c1", "c2", "c3"]
-    assert "c2" in catalog
-    assert "c4" not in catalog
-    assert catalog.index["c1"] == 0
+    assert catalog.names == ["c1", "c2", "c3"]
+    assert catalog.index == {"c1": 0, "c2": 1, "c3": 2}
+    assert len(catalog) == 3
     with pytest.raises(ValueError):
         Catalog(0)
