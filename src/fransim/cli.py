@@ -80,16 +80,21 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.output:
         cfg.output = args.output
+    many = len(cfg.seeds) > 1
+    traces = {seed: _trace_path(cfg.trace_output, seed, many)
+              for seed in cfg.seeds} if cfg.trace else {}
+    for path in traces.values():
+        if Path(path).resolve() == Path(cfg.output).resolve():
+            raise ConfigError(
+                f"trace path {path} is the metrics CSV path {cfg.output}"
+            )
 
     def rows():
         for seed in cfg.seeds:
             with ExitStack() as files:
                 trace = None
-                if cfg.trace:
-                    path = _trace_path(
-                        cfg.trace_output, seed, len(cfg.seeds) > 1
-                    )
-                    trace = files.enter_context(_writing(path)).write
+                if seed in traces:
+                    trace = files.enter_context(_writing(traces[seed])).write
                 report = engine.run_single(
                     cfg, seed, debug=args.debug, trace=trace
                 )

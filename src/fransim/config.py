@@ -146,14 +146,16 @@ def parse_config(raw: dict) -> ScenarioConfig:
 
     topo = _require_mapping(raw.get("topology"), "topology")
     _reject_unknown(topo, _TOPOLOGY_KEYS, "topology")
-    n_faps = _typed(topo, "n_faps", cfg.n_faps, "topology")
-    if n_faps < 1:
-        raise ConfigError("topology.n_faps must be positive")
     # The default device counts are uniform, so an access-point count
     # alone repeats the first of them.
     fues = topo.get("fues_per_fap", cfg.fues_per_fap[0])
     if isinstance(fues, bool) or not isinstance(fues, (int, list)):
         raise ConfigError("topology.fues_per_fap must be an int or a list")
+    # A list of device counts, unless empty, implies the access points.
+    implied = len(fues) if isinstance(fues, list) and fues else cfg.n_faps
+    n_faps = _typed(topo, "n_faps", implied, "topology")
+    if n_faps < 1:
+        raise ConfigError("topology.n_faps must be positive")
     if isinstance(fues, int):
         cfg.fues_per_fap = [fues] * n_faps
     else:

@@ -99,10 +99,10 @@ class Simulation:
 
     ``trace``, if given, receives every event record as its finished
     JSON line, newline included: a list gets each line appended, any
-    other value is called with it.  :meth:`request` and :meth:`tick`
-    take times as Python or numpy ints and floats and write a numpy
-    time as its Python number (``np.int64(3)`` as ``3``,
-    ``np.float64(1.5)`` as ``1.5``); any other time raises
+    other value is called with it.  :meth:`request`, :meth:`tick` and
+    :meth:`run_schedule` take times as Python or numpy ints and floats
+    and write a numpy time as its Python number (``np.int64(3)`` as
+    ``3``, ``np.float64(1.5)`` as ``1.5``); any other time raises
     ``TypeError``, and a NaN or infinite one ``ValueError``.
     """
 
@@ -424,19 +424,23 @@ class Simulation:
         """Replay arrivals in order, firing refresh ticks every tau.
 
         Ticks land at tau, 2 tau, ... and take effect before arrivals
-        that share the same time.
+        that share the same time.  Times are checked and converted as
+        :meth:`request` does, once per time object.
         """
         tau = self.config.tau
         tick_no = 1
         next_tick = tau
         index = self.catalog.index
         request = self._request
+        last = object()  # no row's time is this object
         for t, fue, name in schedule:
-            while next_tick <= t:
+            if t is not last:
+                last, now = t, _plain_time(t)
+            while next_tick <= now:
                 self.tick(next_tick)
                 tick_no += 1
                 next_tick = tau * tick_no
-            request(fue, index[name], t)
+            request(fue, index[name], now)
         if self.debug:
             self._check_final()
         return self.report()

@@ -293,6 +293,7 @@ def _expand(topo: Topology, walk, drop_zero_capacity: bool):
 
     # Accumulate monomial -> coefficient.  Iteration order (content,
     # then device id) fixes the auxiliary numbering deterministically.
+    # A monomial's terms all share one sign, so no coefficient sums to 0.
     coeffs: dict[frozenset[str], float] = {}
     for name in contents:
         for fap, children in faps:
@@ -327,8 +328,6 @@ def _expand(topo: Topology, walk, drop_zero_capacity: bool):
     z_vars: list[str] = []
     constraints: list[Constraint] = []
     for term, coeff in coeffs.items():
-        if coeff == 0.0:
-            continue
         if len(term) == 1:
             (var,) = term
             objective[var] = objective.get(var, 0.0) + coeff
@@ -520,8 +519,7 @@ def verify_linearization(
         if best_linear is None or free > best_linear:
             best_linear = free
 
-    if best_direct is None:
-        return VerificationReport(True, checked, "no feasible assignments")
+    # The all-zero assignment comes first and fits every store: both are set.
     if abs(best_linear - best_direct) > tol * max(1.0, abs(best_direct)):
         return VerificationReport(
             False,

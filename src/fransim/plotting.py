@@ -47,10 +47,9 @@ def line_chart(
     title: str,
     xlabel: str,
     ylabel: str,
-    width: int = 640,
-    height: int = 420,
 ) -> str:
-    """Render named (x, y) series as one SVG line chart."""
+    """Render named (x, y) series as one 640 x 420 SVG line chart."""
+    width, height = 640, 420
     left, right, top, bottom = 70, 20, 40, 50
     plot_w = width - left - right
     plot_h = height - top - bottom
@@ -75,69 +74,52 @@ def line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.2f}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
     ]
+
+    # Callers pass float coordinates formatted to two decimals.
+    def text(x, y, size, body, anchor="middle", extra=""):
+        align = f' text-anchor="{anchor}"' if anchor else ""
+        out.append(
+            f'<text x="{x}" y="{y}"{align} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>'
+        )
+
+    def line(x1, y1, x2, y2, stroke, extra=""):
+        out.append(
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}"{extra}/>'
+        )
+
+    text(f"{width / 2:.2f}", 22, 15, title)
     # Axes, gridlines, ticks.
-    out.append(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" '
-        f'stroke="black"/>'
-    )
-    out.append(
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
-        f'y2="{top + plot_h}" stroke="black"/>'
-    )
+    line(left, top, left, top + plot_h, "black")
+    line(left, top + plot_h, left + plot_w, top + plot_h, "black")
     tick = 0.0
     while tick <= y_top + 1e-9:
         y = py(tick)
-        out.append(
-            f'<line x1="{left}" y1="{y:.2f}" x2="{left + plot_w}" '
-            f'y2="{y:.2f}" stroke="#dddddd"/>'
-        )
-        out.append(
-            f'<text x="{left - 6}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
-        )
+        line(left, f"{y:.2f}", left + plot_w, f"{y:.2f}", "#dddddd")
+        text(left - 6, f"{y + 4:.2f}", 11, _fmt(tick), anchor="end")
         tick += y_step
     for x in xs:
-        out.append(
-            f'<text x="{px(x):.2f}" y="{top + plot_h + 16}" '
-            f'text-anchor="middle" font-family="sans-serif" '
-            f'font-size="11">{_fmt(x)}</text>'
-        )
-    out.append(
-        f'<text x="{left + plot_w / 2:.2f}" y="{height - 10}" '
-        f'text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12">{xlabel}</text>'
-    )
-    out.append(
-        f'<text x="16" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {top + plot_h / 2:.2f})">{ylabel}</text>'
-    )
+        text(f"{px(x):.2f}", top + plot_h + 16, 11, _fmt(x))
+    text(f"{left + plot_w / 2:.2f}", height - 10, 12, xlabel)
+    mid = f"{top + plot_h / 2:.2f}"
+    text(16, mid, 12, ylabel, extra=f' transform="rotate(-90 16 {mid})"')
     # Series lines, markers, legend.
     fallback = iter(_FALLBACK_COLORS)
     for idx, (name, pts) in enumerate(sorted(series.items())):
         color = _COLORS.get(name) or next(fallback)
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in sorted(pts))
+        dots = [(f"{px(x):.2f}", f"{py(y):.2f}") for x, y in sorted(pts)]
+        coords = " ".join(f"{x},{y}" for x, y in dots)
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="2"/>'
         )
-        for x, y in sorted(pts):
-            out.append(
-                f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" '
-                f'fill="{color}"/>'
-            )
+        out.extend(f'<circle cx="{x}" cy="{y}" r="3" fill="{color}"/>'
+                   for x, y in dots)
         ly = top + 8 + idx * 16
-        out.append(
-            f'<line x1="{left + 10}" y1="{ly}" x2="{left + 34}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{left + 40}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{name}</text>'
-        )
+        line(left + 10, ly, left + 34, ly, color, ' stroke-width="2"')
+        text(left + 40, ly + 4, 12, name, anchor=None)
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -34,6 +34,15 @@ class ZipfSpec:
             raise ConfigError("interests per device must be positive")
         if not math.isfinite(self.inter_arrival) or self.inter_arrival <= 0:
             raise ConfigError("inter-arrival time must be finite and positive")
+        try:
+            last = float((self.interests_per_fue - 1) * self.inter_arrival)
+        except OverflowError:  # an int beyond the float range
+            last = math.inf
+        if not math.isfinite(last):
+            raise ConfigError(
+                "the last arrival time, (interests per device - 1) x "
+                "inter-arrival time, must be finite"
+            )
 
 
 def zipf_pmf(exponent: float, catalog_size: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from fransim import engine, plotting
+from fransim import cli, engine, plotting
 from fransim.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -20,7 +20,7 @@ from fransim.cli import (
 )
 from fransim.config import ScenarioConfig, load_config, parse_config
 from fransim.errors import ConfigError, InvariantViolation
-from fransim.oracle import DemandSpec
+from fransim.oracle import DemandSpec, VerificationReport
 from fransim.policies import ScoreRule
 from fransim.topology import Capacities, build_topology
 
@@ -123,6 +123,12 @@ def test_device_count_list_must_match_fap_count():
         parse_config({"topology": {"n_faps": 3, "fues_per_fap": [2, 2]}})
     with pytest.raises(ConfigError, match="int or a list"):
         parse_config({"topology": {"fues_per_fap": "six"}})
+
+
+def test_device_count_list_implies_fap_count():
+    cfg = parse_config({"topology": {"fues_per_fap": [2, 3]}})
+    assert cfg.n_faps == 2
+    assert cfg.fues_per_fap == [2, 3]
 
 
 def test_fap_count_must_be_positive():
@@ -403,6 +409,51 @@ def test_run_rejects_nonfinite_knobs(tmp_path, capsys, block, key, value):
         """)
     assert main(["run", cfg]) == EXIT_CONFIG
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_run_rejects_a_non_string_output(tmp_path, capsys):
+    cfg = write(tmp_path, "bad.yaml", "run: {output: 5}\n")
+    assert main(["run", cfg]) == EXIT_CONFIG
+    assert "run.output has the wrong type" in capsys.readouterr().err
+
+
+OVERFLOW_YAML = """\
+    topology: {n_faps: 1, fues_per_fap: 1}
+    workload: {interests_per_fue: 3, inter_arrival: 1.0e+308}
+    policy: {name: fifo}
+    """
+
+
+def test_run_rejects_a_last_arrival_that_overflows(tmp_path, capsys):
+    # The third arrival, 2 x 1e308, is inf, which the refresh-tick loop
+    # never catches up with.
+    cfg = write(tmp_path, "bad.yaml", OVERFLOW_YAML)
+    with pytest.raises(ConfigError, match="last arrival time"):
+        load_config(cfg)
+    out = tmp_path / "m.csv"
+    assert main(["run", cfg, "--output", str(out)]) == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds,trace_name,csv_name", [
+    ("[0]", "x.csv", "x.csv"),
+    ("[0]", "x.csv", "sub/../x.csv"),
+    ("[0, 1]", "m.csv", "m_seed1.csv"),
+], ids=["same-name", "same-file", "a-seed-file"])
+def test_run_refuses_a_trace_path_equal_to_the_csv_path(
+    tmp_path, capsys, seeds, trace_name, csv_name
+):
+    (tmp_path / "sub").mkdir()
+    cfg = write(tmp_path, "t.yaml", RUN_YAML.replace(
+        "seeds: [0, 1]",
+        f"seeds: {seeds}\n      trace: true\n"
+        f"      trace_output: {tmp_path / trace_name}",
+    ))
+    out = tmp_path / csv_name
+    assert main(["run", cfg, "--output", str(out)]) == EXIT_CONFIG
+    assert "is the metrics CSV path" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", "t.yaml"]
 
 
 def test_run_rejects_unbuildable_topology(tmp_path, capsys):
@@ -747,6 +798,37 @@ def test_oracle_rejects_demand_at_non_devices(tmp_path, capsys):
     assert "not user equipment" in capsys.readouterr().err
 
 
+def test_oracle_prints_an_empty_placement(tmp_path, capsys):
+    _, demand = oracle_setup(tmp_path)
+    cfg = write(tmp_path, "zero.yaml", ORACLE_YAML.replace(
+        "{bbu: 2, fap: 1, fue: 0}", "{bbu: 0, fap: 0, fue: 0}"
+    ))
+    assert main(["oracle", cfg, "--demand", demand]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "optimal = 0", "  (empty placement)",
+    ]
+
+
+def test_oracle_reports_a_failed_verification(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "verify_linearization",
+        lambda topo, demand, program: VerificationReport(False, 7, "forced"),
+    )
+    cfg, demand = oracle_setup(tmp_path)
+    rc = main(["oracle", cfg, "--demand", demand, "--verify-linearization"])
+    assert rc == EXIT_INVARIANT
+    out = capsys.readouterr().out
+    assert "linearization over 7 assignments: MISMATCH: forced" in out
+
+
+def test_undecodable_demand_table_names_the_file(tmp_path, capsys):
+    cfg, _ = oracle_setup(tmp_path)
+    demand = tmp_path / "d.csv"
+    demand.write_bytes(b"name,fue,rate\nc1,fue1,\xff\n")
+    assert main(["oracle", cfg, "--demand", str(demand)]) == EXIT_CONFIG
+    assert f"bad demand table {demand}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("row", ["c1,999,1", "c1,-1,3"])
 def test_oracle_rejects_demand_at_unknown_node_ids(tmp_path, capsys, row):
     cfg, _ = oracle_setup(tmp_path)
@@ -879,6 +961,17 @@ def test_demand_from_trace_counts_device_requests_only(tmp_path):
     )
     demand = demand_from_trace(str(path), topo)
     assert demand == DemandSpec({("c1", u1): 2.0, ("c2", u1): 1.0})
+
+
+def test_demand_from_trace_skips_blank_lines(tmp_path):
+    topo = build_topology(2, [1, 1], Capacities(2, 1, 0))
+    u1 = topo.fues()[0]
+    record = json.dumps(
+        {"kind": "interest", "node": u1, "name": "c1", "outcome": "forwarded"}
+    )
+    path = tmp_path / "trace.jsonl"
+    path.write_text(f"\n{record}\n  \n\n{record}\n", encoding="utf-8")
+    assert demand_from_trace(str(path), topo) == DemandSpec({("c1", u1): 2.0})
 
 
 def test_oracle_runs_on_a_recorded_trace(tmp_path, capsys):

@@ -311,6 +311,12 @@ def test_scripted_numpy_times_write_json_trace_lines():
     assert times == [1.5] * 7 + [3, 4]
     assert lines[7].endswith('"time": 3}\n')
     assert lines[8].endswith('"time": 4}\n')  # an int stays an int
+    # A replayed schedule converts its times the same way.
+    replayed: list[str] = []
+    Simulation(topo, Catalog(3), "fifo", trace=replayed).run_schedule(
+        [(np.float64(1.5), fue, "c1")]
+    )
+    assert replayed == lines[:7]
 
 
 @pytest.mark.parametrize("now", ["1", None, True, np.bool_(True), 1j])
@@ -322,6 +328,8 @@ def test_times_that_are_not_numbers_are_refused(now):
         sim.request(topo.fues()[0], "c1", now)
     with pytest.raises(TypeError, match="time must be an int or a float"):
         sim.tick(now)
+    with pytest.raises(TypeError, match="time must be an int or a float"):
+        sim.run_schedule([(now, topo.fues()[0], "c1")])
     assert lines == [] and sim.seq == 0
 
 
@@ -338,6 +346,9 @@ def test_non_finite_times_are_refused(now):
         sim.request(topo.fues()[0], "c1", now)
     with pytest.raises(ValueError, match="time must be finite"):
         sim.tick(now)
+    # A replay refuses the time before it fires the ticks up to it.
+    with pytest.raises(ValueError, match="time must be finite"):
+        sim.run_schedule([(now, topo.fues()[0], "c1")])
     assert lines == [] and sim.seq == 0 and sim.report().total_interests == 0
 
 
