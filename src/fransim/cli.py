@@ -19,7 +19,7 @@ from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from . import engine, plotting
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, first_repeat, load_config
 from .errors import ConfigError, InstanceTooLarge, InvariantViolation
 from .oracle import (
     DemandSpec,
@@ -139,6 +139,9 @@ def cmd_sweep(args) -> int:
             f"device count {min(fue_counts)} cannot cover "
             f"{cfg.n_faps} access points with one device each"
         )
+    repeat = first_repeat(fue_counts)
+    if repeat is not None:
+        raise ConfigError(f"--fues lists device count {repeat} twice")
     policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
     if not policies:
         raise ConfigError(f"no policy named in --policies {args.policies!r}")
@@ -148,6 +151,9 @@ def cmd_sweep(args) -> int:
                 f"unknown policy {policy!r}; expected one of "
                 f"{', '.join(POLICY_NAMES)}"
             )
+    repeat = first_repeat(policies)
+    if repeat is not None:
+        raise ConfigError(f"--policies lists policy {repeat!r} twice")
     d2d_options = {
         "both": (False, True), "off": (False,), "on": (True,),
     }[args.d2d]

@@ -46,6 +46,10 @@ _TOPOLOGY_KEYS = {
 }
 _RUN_KEYS = {"seeds", "trace", "output", "trace_output"}
 _TOP_KEYS = {"topology", "workload", "policy", "run"}
+# A run fires one refresh tick per tau until its last arrival; more than
+# this many per arrival step is refused, as a tau far shorter than the
+# inter-arrival time would spend the run ticking.
+MAX_TICKS_PER_STEP = 1000
 
 
 @dataclass
@@ -127,6 +131,16 @@ def _read_block(cls, raw, where: str):
         raise ConfigError(str(exc)) from exc
 
 
+def first_repeat(values):
+    """The first value in ``values`` that repeats an earlier one, or None."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            return value
+        seen.add(value)
+    return None
+
+
 def load_config(path: str) -> ScenarioConfig:
     """Parse and validate a scenario file."""
     try:
@@ -185,6 +199,15 @@ def parse_config(raw: dict) -> ScenarioConfig:
         )
     pol.pop("name", None)
     cfg.policy_config = _read_block(PolicyConfig, pol, "policy")
+    steps = cfg.zipf.interests_per_fue
+    tau, gap = cfg.policy_config.tau, cfg.zipf.inter_arrival
+    # The quotient itself, not its floor: with a tiny tau it is inf.
+    if (steps - 1) * gap / tau > MAX_TICKS_PER_STEP * steps:
+        raise ConfigError(
+            f"policy.tau {tau!r} is too short for workload.inter_arrival "
+            f"{gap!r}: the run would fire more than {MAX_TICKS_PER_STEP} "
+            "refresh ticks per arrival step"
+        )
 
     run = _require_mapping(raw.get("run"), "run")
     _reject_unknown(run, _RUN_KEYS, "run")
@@ -194,6 +217,12 @@ def parse_config(raw: dict) -> ScenarioConfig:
             isinstance(s, int) and not isinstance(s, bool) for s in seeds
         ):
             raise ConfigError("run.seeds must be a non-empty list of ints")
+        low = min(seeds)
+        if low < 0:
+            raise ConfigError(f"run.seeds must be non-negative, got {low}")
+        repeat = first_repeat(seeds)
+        if repeat is not None:
+            raise ConfigError(f"run.seeds lists seed {repeat} twice")
         cfg.seeds = list(seeds)
     elif "seed" in wl:
         cfg.seeds = [cfg.zipf.seed]

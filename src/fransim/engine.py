@@ -9,6 +9,11 @@ sequence) with rate-refresh ticks firing before same-time arrivals;
 processing is single-threaded and uses no randomness, so a run is a
 pure function of (topology, schedule, policy, knobs).
 
+``Simulation._request`` only finds the depth on the consumer's path
+that serves a request.  Each serve but a D2D one runs ``_serve`` (tier
+count, interest record, data walk down with caching) and each miss runs
+``_forward`` (PIT check under ``debug``, record when tracing).
+
 For speed the hot path keys all per-node state by integer content
 rank rather than by name and relies on two exact shortcuts: victims
 are taken from dict order, and the selective policy caches each
@@ -42,6 +47,9 @@ from .topology import Catalog, Topology, distribute_fues
 from .workload import build_schedule
 
 TIER_KEYS = ("own_cs", "d2d", "fap", "bbu", "producer")
+
+# Per served depth (own store, F-AP, BBU, producer): tier slot, outcome.
+_SERVED = ((0, "own-hit"), (2, "cs-hit"), (3, "cs-hit"), (4, "origin"))
 
 # One trace record as its JSON line, keys in sorted order.  Each line is
 # byte-identical to ``json.dumps(record, sort_keys=True)``: kinds,
@@ -96,6 +104,9 @@ class Simulation:
 
     Drive it either with :meth:`run_schedule` or by calling
     :meth:`tick` and :meth:`request` by hand for scripted scenarios.
+    A request is served by the first store up its path that holds the
+    content (with D2D on, a group peer's before the BBU's), else by the
+    producer, and its data is offered to each store on the way down.
 
     ``trace``, if given, receives every event record as its finished
     JSON line, newline included: a list gets each line appended, any
@@ -128,6 +139,8 @@ class Simulation:
             self._emit = None
         else:
             self._emit = trace.append if isinstance(trace, list) else trace
+        # Whether a miss has anything to do: check the PIT or write a record.
+        self._forwards = debug or self._emit is not None
 
         n = len(topo)
         self._is_lru = policy == "lru"
@@ -237,37 +250,23 @@ class Simulation:
         path = self._paths[fue]
         cs = self._cs
         ratehop = self._is_ratehop
-        debug = self.debug
-        emit = self._emit
+        forwards = self._forwards
 
         # Tier 0: the device's own store.
-        store = cs[fue]
-        if rank in store:
-            if self._is_lru:
-                store[rank] = store.pop(rank)
-            self._hits[0] += 1
-            if emit is not None:
-                self._trace(now, seq, fue, "interest", rank, "own-hit")
+        if rank in cs[fue]:
+            self._serve(rank, now, seq, path, 0)
             return
         if ratehop:
             self._demand[fue][rank][1] += 1
-        if debug:
-            self._forward(fue, rank)
-        if emit is not None:
-            self._trace(now, seq, fue, "interest", rank, "forwarded")
+        if forwards:
+            self._forward(now, seq, fue, rank)
 
         # Tier 1: the access point (which may broker a D2D serve).
         fap = path[1]
         if ratehop:
             self._demand[fap][rank][1] += 1
-        store_a = cs[fap]
-        if rank in store_a:
-            if self._is_lru:
-                store_a[rank] = store_a.pop(rank)
-            self._hits[2] += 1
-            if emit is not None:
-                self._trace(now, seq, fap, "interest", rank, "cs-hit")
-            self._deliver(rank, now, seq, path, 1)
+        if rank in cs[fap]:
+            self._serve(rank, now, seq, path, 1)
             return
         group = self._group_of[fue]
         if group is not None:
@@ -280,54 +279,53 @@ class Simulation:
                 self._hits[1] += 1
                 if ratehop:
                     self._demand[fue][rank][0] += 1.0
-                if emit is not None:
-                    self._trace(now, seq, fap, "interest", rank, "d2d")
-                    self._trace(now, seq, fue, "data", rank, "delivered")
+                if self._emit is not None:
+                    name = self.catalog.names[rank]
+                    self._emit(_EVENT_LINE % ("interest", name, fap, "d2d",
+                                              seq, now))
+                    self._emit(_EVENT_LINE % ("data", name, fue, "delivered",
+                                              seq, now))
                 if self.cache_d2d_data:
                     self._cache(fue, rank, 1)
-                if debug:
+                if self.debug:
                     self._consume(fue, rank)
                     self._check_capacity(path[:2])
                 return
-        if debug:
-            self._forward(fap, rank)
-        if emit is not None:
-            self._trace(now, seq, fap, "interest", rank, "forwarded")
+        if forwards:
+            self._forward(now, seq, fap, rank)
 
         # Tier 2: the BBU pool.
         bbu = path[2]
         if ratehop:
             self._demand[bbu][rank][1] += 1
-        store_b = cs[bbu]
-        if rank in store_b:
-            if self._is_lru:
-                store_b[rank] = store_b.pop(rank)
-            self._hits[3] += 1
-            if emit is not None:
-                self._trace(now, seq, bbu, "interest", rank, "cs-hit")
-            self._deliver(rank, now, seq, path, 2)
+        if rank in cs[bbu]:
+            self._serve(rank, now, seq, path, 2)
             return
-        if debug:
-            self._forward(bbu, rank)
-        if emit is not None:
-            self._trace(now, seq, bbu, "interest", rank, "forwarded")
+        if forwards:
+            self._forward(now, seq, bbu, rank)
 
         # Tier 3: the producer always serves.
-        self._hits[4] += 1
-        if emit is not None:
-            self._trace(now, seq, path[3], "interest", rank, "origin")
-        self._deliver(rank, now, seq, path, 3)
+        self._serve(rank, now, seq, path, 3)
 
-    def _deliver(
-        self,
-        rank: int,
-        now: float,
-        seq: int,
-        path: tuple,
-        served_depth: int,
+    def _serve(
+        self, rank: int, now: float, seq: int, path: tuple, served_depth: int
     ) -> None:
-        """Walk data from path[served_depth] down to the consumer,
+        """Serve a request at path[served_depth]: count its tier, write
+        its interest record, then walk the data down to the consumer,
         bumping rates and offering the content to each store."""
+        node = path[served_depth]
+        # The producer's store is empty: it has no order to touch.
+        if self._is_lru and served_depth < 3:
+            store = self._cs[node]
+            store[rank] = store.pop(rank)
+        slot, outcome = _SERVED[served_depth]
+        self._hits[slot] += 1
+        emit = self._emit
+        if emit is not None:
+            name = self.catalog.names[rank]
+            emit(_EVENT_LINE % ("interest", name, node, outcome, seq, now))
+        if not served_depth:  # an own-store hit moves no data
+            return
         ratehop = self._is_ratehop
         debug = self.debug
         for j in range(served_depth - 1, -1, -1):
@@ -337,10 +335,25 @@ class Simulation:
             if ratehop:
                 self._demand[node][rank][0] += 1.0
             self._cache(node, rank, served_depth - j)
-            if self._emit is not None:
-                self._trace(now, seq, node, "data", rank, "arrived")
+            if emit is not None:
+                emit(_EVENT_LINE % ("data", name, node, "arrived", seq, now))
         if debug:
             self._check_capacity(path[:served_depth + 1])
+
+    def _forward(self, now: float, seq: int, node: int, rank: int) -> None:
+        """A miss at ``node``: the single-forward check under ``debug``,
+        then the ``forwarded`` record when tracing."""
+        if self.debug:
+            pit = self._pit[node]
+            if rank in pit:
+                raise InvariantViolation(
+                    f"node {node} forwarded {self.catalog.names[rank]} twice "
+                    f"while pending (event {self.seq})"
+                )
+            pit.add(rank)
+        if self._emit is not None:
+            self._emit(_EVENT_LINE % ("interest", self.catalog.names[rank],
+                                      node, "forwarded", seq, now))
 
     def _cache(self, node: int, rank: int, fetch_hops: int) -> None:
         cap = self.topo.capacity[node]
@@ -370,21 +383,7 @@ class Simulation:
         if ratehop:
             self._min_score[node] = None
 
-    def _trace(self, now, seq, node, kind, rank, outcome) -> None:
-        self._emit(_EVENT_LINE % (
-            kind, self.catalog.names[rank], node, outcome, seq, now
-        ))
-
     # -- debug instrumentation ----------------------------------------
-
-    def _forward(self, node: int, rank: int) -> None:
-        pit = self._pit[node]
-        if rank in pit:
-            raise InvariantViolation(
-                f"node {node} forwarded {self.catalog.names[rank]} twice "
-                f"while pending (event {self.seq})"
-            )
-        pit.add(rank)
 
     def _consume(self, node: int, rank: int) -> None:
         pit = self._pit[node]

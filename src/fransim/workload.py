@@ -28,6 +28,8 @@ class ZipfSpec:
     def __post_init__(self):
         if not math.isfinite(self.exponent) or self.exponent < 0:
             raise ConfigError("zipf exponent must be finite and non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.catalog_size < 1:
             raise ConfigError("catalog size must be positive")
         if self.interests_per_fue < 1:

@@ -1,6 +1,7 @@
 import csv
 import json
 import textwrap
+import time
 
 import pytest
 
@@ -434,6 +435,81 @@ def test_run_rejects_a_last_arrival_that_overflows(tmp_path, capsys):
     assert main(["run", cfg, "--output", str(out)]) == EXIT_CONFIG
     assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+HUGE_ARRIVAL_YAML = """\
+    topology: {n_faps: 1, fues_per_fap: 1}
+    workload: {interests_per_fue: 2, inter_arrival: 1.0e+308}
+    policy: {name: fifo}
+    """
+
+
+def test_run_rejects_more_refresh_ticks_than_arrivals_need(
+    tmp_path, capsys, monkeypatch
+):
+    # The last arrival, 1e308, is finite, but a tick every tau = 100 up
+    # to it is 1e306 ticks: the run would never end.
+    def no_tick(sim, now):
+        raise AssertionError("the run started ticking")
+
+    monkeypatch.setattr(engine.Simulation, "tick", no_tick)
+    cfg = write(tmp_path, "bad.yaml", HUGE_ARRIVAL_YAML)
+    out = tmp_path / "m.csv"
+    start = time.perf_counter()
+    assert main(["run", cfg, "--output", str(out)]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "policy.tau 100.0" in err
+    assert "workload.inter_arrival 1e+308" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tau, ok", [
+    (0.001, True),  # 1000 x 99 ticks for 100 arrival steps
+    (0.0009, False),
+    (5e-324, False),  # the tick count is inf
+])
+def test_refresh_ticks_are_bounded_per_arrival_step(tau, ok):
+    raw = {"workload": {"interests_per_fue": 100}, "policy": {"tau": tau}}
+    if ok:
+        assert parse_config(raw).policy_config.tau == tau
+    else:
+        with pytest.raises(ConfigError, match="refresh ticks per arrival"):
+            parse_config(raw)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("run: {seeds: [0, 0], trace: true}\n", "run.seeds lists seed 0 twice"),
+    ("run: {seeds: [3, -1]}\n", "run.seeds must be non-negative, got -1"),
+    ("workload: {seed: -2}\n", "seed must be non-negative, got -2"),
+], ids=["repeated", "negative", "negative-workload-seed"])
+def test_run_rejects_repeated_or_negative_seeds(
+    tmp_path, capsys, monkeypatch, extra, message
+):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "bad.yaml",
+                "topology: {n_faps: 1, fues_per_fap: 1}\n" + extra)
+    assert main(["run", cfg]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--fues", "2,4,2", "--fues lists device count 2 twice"),
+    ("--policies", "fifo,lru,fifo", "--policies lists policy 'fifo' twice"),
+], ids=["fues", "policies"])
+def test_sweep_rejects_a_repeated_grid_value(
+    tmp_path, capsys, monkeypatch, flag, value, message
+):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "s.yaml", SWEEP_YAML)
+    grid = {"--fues": "2", "--policies": "fifo", flag: value}
+    argv = ["sweep", cfg, "--d2d", "off", "--plot"]
+    for option, text in grid.items():
+        argv += [option, text]
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["s.yaml"]
 
 
 @pytest.mark.parametrize("seeds,trace_name,csv_name", [

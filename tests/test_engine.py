@@ -418,6 +418,151 @@ def test_parallel_sweep_matches_serial():
     assert serial == parallel
 
 
+# -- what one request writes to the trace ---------------------------------
+
+# (capacities bbu/fap/fue, devices, D2D, cache_d2d_data) for a tree in
+# which a request by the first device for c1, once the last device has
+# fetched it, is served at one tier; and the records that request
+# writes, with nodes named u (the asker), a (its F-AP), b (the BBU) and
+# p (the producer).
+SERVE_RECORDS = {
+    "own": (((0, 0, 1), 1, False, False), [
+        ("interest", "u", "own-hit"),
+    ]),
+    "fap": (((0, 1, 0), 1, False, False), [
+        ("interest", "u", "forwarded"),
+        ("interest", "a", "cs-hit"),
+        ("data", "u", "arrived"),
+    ]),
+    "d2d": (((0, 0, 1), 2, True, False), [
+        ("interest", "u", "forwarded"),
+        ("interest", "a", "d2d"),
+        ("data", "u", "delivered"),
+    ]),
+    "d2d-recache": (((0, 0, 1), 2, True, True), [
+        ("interest", "u", "forwarded"),
+        ("interest", "a", "d2d"),
+        ("data", "u", "delivered"),
+    ]),
+    "bbu": (((1, 0, 0), 1, False, False), [
+        ("interest", "u", "forwarded"),
+        ("interest", "a", "forwarded"),
+        ("interest", "b", "cs-hit"),
+        ("data", "a", "arrived"),
+        ("data", "u", "arrived"),
+    ]),
+    "producer": (((0, 0, 0), 1, False, False), [
+        ("interest", "u", "forwarded"),
+        ("interest", "a", "forwarded"),
+        ("interest", "b", "forwarded"),
+        ("interest", "p", "origin"),
+        ("data", "b", "arrived"),
+        ("data", "a", "arrived"),
+        ("data", "u", "arrived"),
+    ]),
+}
+SERVE_TIER = {"own": "own_cs", "fap": "fap", "d2d": "d2d",
+              "d2d-recache": "d2d", "bbu": "bbu", "producer": "producer"}
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("serve", SERVE_RECORDS)
+def test_one_request_writes_the_records_of_its_serving_tier(serve, policy):
+    (caps, devices, d2d, cache_d2d), expected = SERVE_RECORDS[serve]
+    topo = build_topology(1, [devices], Capacities(*caps), d2d)
+    lines: list[str] = []
+    sim = Simulation(topo, Catalog(3), policy, debug=True,
+                     cache_d2d_data=cache_d2d, trace=lines)
+    asker = topo.fues()[0]
+    sim.request(topo.fues()[-1], "c1", 0.0)
+    del lines[:]
+    sim.request(asker, "c1", 1.0)
+    nodes = {"u": asker, "a": topo.parent[asker], "b": topo.bbu(),
+             "p": topo.producer()}
+    records = [json.loads(line) for line in lines]
+    assert [(r["kind"], r["node"], r["outcome"]) for r in records] == [
+        (kind, nodes[node], outcome) for kind, node, outcome in expected
+    ]
+    assert {(r["name"], r["seq"], r["time"]) for r in records} == {
+        ("c1", 2, 1.0)
+    }
+    # The warming request is the only other, served by the producer.
+    assert sim.report().hits_by_tier[SERVE_TIER[serve]] == (
+        2 if serve == "producer" else 1
+    )
+    if d2d:  # only a re-caching asker keeps the data a peer served
+        assert sim.cs_contents(asker) == ({"c1"} if cache_d2d else set())
+
+
+def metrics_from_trace(lines, topo) -> dict:
+    """Every metrics field of a run, counted from its trace records: the
+    outcome of the interest record that serves a request gives its tier,
+    each record of an interest or data moving one link is one hop, and
+    each such record at an F-AP is one fronthaul packet."""
+    faps = set(topo.faps())
+    tiers = dict.fromkeys(engine.TIER_KEYS, 0)
+    served_by = {"own-hit": "own_cs", "d2d": "d2d", "origin": "producer"}
+    requests = set()
+    hops = fronthaul = 0
+    for line in lines:
+        record = json.loads(line)
+        if record["kind"] == "tick":
+            continue
+        requests.add(record["seq"])
+        outcome, node = record["outcome"], record["node"]
+        if outcome in ("forwarded", "arrived", "delivered"):
+            hops += 1
+            if outcome != "delivered" and node in faps:
+                fronthaul += 1
+        elif outcome == "cs-hit":
+            assert node in faps or node == topo.bbu()
+            tiers["fap" if node in faps else "bbu"] += 1
+        else:
+            tiers[served_by[outcome]] += 1
+    return {
+        "avg_hops": hops / len(requests),
+        "cache_hits": sum(tiers.values()) - tiers["producer"],
+        "hits_own": tiers["own_cs"],
+        "hits_d2d": tiers["d2d"],
+        "hits_fap": tiers["fap"],
+        "hits_bbu": tiers["bbu"],
+        "hits_producer": tiers["producer"],
+        "fronthaul_packets": fronthaul,
+        "total_interests": len(requests),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    fues_per_fap=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    caps=st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 2)),
+    policy=st.sampled_from(POLICY_NAMES),
+    d2d=st.booleans(),
+    cache_d2d=st.booleans(),
+    tau=st.floats(0.5, 50),
+    catalog_size=st.integers(1, 60),
+    exponent=st.sampled_from([0.0, 0.8, 1.5]),
+    interests=st.integers(1, 300),
+    seed=st.integers(0, 2**16),
+)
+def test_the_trace_explains_every_metric(
+    fues_per_fap, caps, policy, d2d, cache_d2d, tau, catalog_size,
+    exponent, interests, seed,
+):
+    cfg = ScenarioConfig(
+        fues_per_fap=fues_per_fap, capacities=Capacities(*caps),
+        d2d_enabled=d2d, cache_d2d_data=cache_d2d,
+        zipf=ZipfSpec(exponent=exponent, catalog_size=catalog_size,
+                      interests_per_fue=interests),
+        policy=policy, policy_config=PolicyConfig(tau=tau),
+    )
+    lines: list[str] = []
+    row = metrics_row(cfg, seed, run_single(cfg, seed, trace=lines))
+    counted = metrics_from_trace(lines, cfg.topology())
+    assert {key: row[key] for key in counted} == counted
+    assert set(row) - set(counted) == {"policy", "n_fues", "d2d", "seed"}
+
+
 # -- equivalence with the packet-level reference ----------------------------
 
 # The engine as the grid and ``fransim run`` build it, with ``--debug``,
