@@ -19,7 +19,7 @@ from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from . import engine, plotting
-from .config import ScenarioConfig, first_repeat, load_config
+from .config import ScenarioConfig, load_config
 from .errors import ConfigError, InstanceTooLarge, InvariantViolation
 from .oracle import (
     DemandSpec,
@@ -134,29 +134,15 @@ def cmd_sweep(args) -> int:
     if args.output:
         cfg.output = args.output
     fue_counts = _parse_fues(args.fues)
-    if min(fue_counts) < cfg.n_faps:
-        raise ConfigError(
-            f"device count {min(fue_counts)} cannot cover "
-            f"{cfg.n_faps} access points with one device each"
-        )
-    repeat = first_repeat(fue_counts)
-    if repeat is not None:
-        raise ConfigError(f"--fues lists device count {repeat} twice")
     policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
-    if not policies:
-        raise ConfigError(f"no policy named in --policies {args.policies!r}")
-    for policy in policies:
-        if policy not in POLICY_NAMES:
-            raise ConfigError(
-                f"unknown policy {policy!r}; expected one of "
-                f"{', '.join(POLICY_NAMES)}"
-            )
-    repeat = first_repeat(policies)
-    if repeat is not None:
-        raise ConfigError(f"--policies lists policy {repeat!r} twice")
     d2d_options = {
         "both": (False, True), "off": (False,), "on": (True,),
     }[args.d2d]
+    chart = Path(cfg.output).name
+    if args.plot and chart in plotting.chart_names(d2d_options):
+        raise ConfigError(
+            f"--plot chart {chart} is the metrics CSV path {cfg.output}"
+        )
     rows = engine.sweep(
         cfg, fue_counts, policies, d2d_options,
         debug=args.debug, n_jobs=args.jobs,

@@ -54,7 +54,8 @@ MAX_TICKS_PER_STEP = 1000
 
 @dataclass
 class ScenarioConfig:
-    """One scenario's settings; with a seed, the unit of every run."""
+    """One scenario's settings, checked when built (``ConfigError``);
+    with a seed, the unit of every run."""
 
     fues_per_fap: list[int] = field(default_factory=lambda: [6] * 5)
     capacities: Capacities = field(default_factory=Capacities)
@@ -67,6 +68,37 @@ class ScenarioConfig:
     trace: bool = False
     output: str = "metrics.csv"
     trace_output: str = "trace.jsonl"
+
+    def __post_init__(self):
+        if self.policy not in POLICY_NAMES:
+            raise ConfigError(
+                f"unknown policy {self.policy!r}; policy.name must be one "
+                f"of {', '.join(POLICY_NAMES)}"
+            )
+        seeds = self.seeds
+        if not isinstance(seeds, list) or not seeds or not all(
+            isinstance(s, int) and not isinstance(s, bool) for s in seeds
+        ):
+            raise ConfigError("run.seeds must be a non-empty list of ints")
+        low = min(seeds)
+        if low < 0:
+            raise ConfigError(f"run.seeds must be non-negative, got {low}")
+        repeat = first_repeat(seeds)
+        if repeat is not None:
+            raise ConfigError(f"run.seeds lists seed {repeat} twice")
+        steps = self.zipf.interests_per_fue
+        tau, gap = self.policy_config.tau, self.zipf.inter_arrival
+        # The quotient itself, not its floor: with a tiny tau it is inf.
+        if (steps - 1) * gap / tau > MAX_TICKS_PER_STEP * steps:
+            raise ConfigError(
+                f"policy.tau {tau!r} is too short for workload.inter_arrival "
+                f"{gap!r}: the run would fire more than {MAX_TICKS_PER_STEP} "
+                "refresh ticks per arrival step"
+            )
+        try:
+            self.topology()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def n_faps(self) -> int:
@@ -156,81 +188,50 @@ def load_config(path: str) -> ScenarioConfig:
 def parse_config(raw: dict) -> ScenarioConfig:
     raw = _require_mapping(raw, "config")
     _reject_unknown(raw, _TOP_KEYS, "config")
-    cfg = ScenarioConfig()
+    defaults = ScenarioConfig()
 
     topo = _require_mapping(raw.get("topology"), "topology")
     _reject_unknown(topo, _TOPOLOGY_KEYS, "topology")
     # The default device counts are uniform, so an access-point count
     # alone repeats the first of them.
-    fues = topo.get("fues_per_fap", cfg.fues_per_fap[0])
+    fues = topo.get("fues_per_fap", defaults.fues_per_fap[0])
     if isinstance(fues, bool) or not isinstance(fues, (int, list)):
         raise ConfigError("topology.fues_per_fap must be an int or a list")
     # A list of device counts, unless empty, implies the access points.
-    implied = len(fues) if isinstance(fues, list) and fues else cfg.n_faps
+    implied = len(fues) if isinstance(fues, list) and fues else defaults.n_faps
     n_faps = _typed(topo, "n_faps", implied, "topology")
     if n_faps < 1:
         raise ConfigError("topology.n_faps must be positive")
     if isinstance(fues, int):
-        cfg.fues_per_fap = [fues] * n_faps
-    else:
-        if len(fues) != n_faps or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in fues
-        ):
-            raise ConfigError(
-                "topology.fues_per_fap must list one int per access point"
-            )
-        cfg.fues_per_fap = list(fues)
-    cfg.capacities = _read_block(
-        Capacities, topo.get("capacities"), "topology.capacities"
-    )
-    cfg.d2d_enabled = _typed(topo, "d2d_enabled", cfg.d2d_enabled, "topology")
-    cfg.cache_d2d_data = _typed(
-        topo, "cache_d2d_data", cfg.cache_d2d_data, "topology"
-    )
+        fues = [fues] * n_faps
+    elif len(fues) != n_faps or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in fues
+    ):
+        raise ConfigError(
+            "topology.fues_per_fap must list one int per access point"
+        )
 
     wl = _require_mapping(raw.get("workload"), "workload")
-    cfg.zipf = _read_block(ZipfSpec, wl, "workload")
+    zipf = _read_block(ZipfSpec, wl, "workload")
 
     pol = dict(_require_mapping(raw.get("policy"), "policy"))
-    cfg.policy = _typed(pol, "name", cfg.policy, "policy")
-    if cfg.policy not in POLICY_NAMES:
-        raise ConfigError(
-            f"policy.name must be one of {', '.join(POLICY_NAMES)}"
-        )
+    policy = _typed(pol, "name", defaults.policy, "policy")
     pol.pop("name", None)
-    cfg.policy_config = _read_block(PolicyConfig, pol, "policy")
-    steps = cfg.zipf.interests_per_fue
-    tau, gap = cfg.policy_config.tau, cfg.zipf.inter_arrival
-    # The quotient itself, not its floor: with a tiny tau it is inf.
-    if (steps - 1) * gap / tau > MAX_TICKS_PER_STEP * steps:
-        raise ConfigError(
-            f"policy.tau {tau!r} is too short for workload.inter_arrival "
-            f"{gap!r}: the run would fire more than {MAX_TICKS_PER_STEP} "
-            "refresh ticks per arrival step"
-        )
 
     run = _require_mapping(raw.get("run"), "run")
     _reject_unknown(run, _RUN_KEYS, "run")
-    if "seeds" in run:
-        seeds = run["seeds"]
-        if not isinstance(seeds, list) or not seeds or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in seeds
-        ):
-            raise ConfigError("run.seeds must be a non-empty list of ints")
-        low = min(seeds)
-        if low < 0:
-            raise ConfigError(f"run.seeds must be non-negative, got {low}")
-        repeat = first_repeat(seeds)
-        if repeat is not None:
-            raise ConfigError(f"run.seeds lists seed {repeat} twice")
-        cfg.seeds = list(seeds)
-    elif "seed" in wl:
-        cfg.seeds = [cfg.zipf.seed]
-    cfg.trace = _typed(run, "trace", cfg.trace, "run")
-    cfg.output = _typed(run, "output", cfg.output, "run")
-    cfg.trace_output = _typed(run, "trace_output", cfg.trace_output, "run")
-    try:
-        cfg.topology()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+    seeds = [zipf.seed] if "seed" in wl else defaults.seeds
+    return ScenarioConfig(
+        fues_per_fap=list(fues),
+        capacities=_read_block(
+            Capacities, topo.get("capacities"), "topology.capacities"
+        ),
+        zipf=zipf,
+        policy=policy,
+        policy_config=_read_block(PolicyConfig, pol, "policy"),
+        seeds=run.get("seeds", seeds),
+        **{key: _typed(topo, key, getattr(defaults, key), "topology")
+           for key in ("d2d_enabled", "cache_d2d_data")},
+        **{key: _typed(run, key, getattr(defaults, key), "run")
+           for key in ("trace", "output", "trace_output")},
+    )

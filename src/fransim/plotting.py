@@ -146,13 +146,24 @@ def sweep_charts(rows: list[dict]) -> dict[str, str]:
                     (float(n_fues), sum(values) / len(values))
                 )
             suffix = "on" if d2d else "off"
-            charts[f"{metric}_d2d_{suffix}.svg"] = line_chart(
+            charts[_chart_name(metric, d2d)] = line_chart(
                 dict(series),
                 title=f"{label} (D2D {suffix})",
                 xlabel="user devices",
                 ylabel=label,
             )
     return charts
+
+
+def _chart_name(metric: str, d2d: bool) -> str:
+    """The file ``sweep_charts`` names a metric's chart at one D2D setting."""
+    return f"{metric}_d2d_{'on' if d2d else 'off'}.svg"
+
+
+def chart_names(d2d_options) -> set[str]:
+    """Every chart file ``sweep_charts`` makes for rows at ``d2d_options``."""
+    return {_chart_name(metric, d2d)
+            for d2d in d2d_options for metric, _ in _METRICS}
 
 
 def _truthy(value) -> bool:

@@ -24,6 +24,7 @@ from fransim.errors import ConfigError, InvariantViolation
 from fransim.oracle import DemandSpec, VerificationReport
 from fransim.policies import ScoreRule
 from fransim.topology import Capacities, build_topology
+from fransim.workload import ZipfSpec
 
 
 def write(tmp_path, name, text):
@@ -175,6 +176,26 @@ def test_seed_precedence():
 def test_bad_seed_lists_rejected(seeds):
     with pytest.raises(ConfigError, match="non-empty list of ints"):
         parse_config({"run": {"seeds": seeds}})
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"policy": "mru"}, "unknown policy 'mru'; policy.name must be one of "
+                        "fifo, lru, rate-hop"),
+    ({"seeds": []}, "non-empty list of ints"),
+    ({"seeds": [0, True]}, "non-empty list of ints"),
+    ({"seeds": [3, -1]}, "must be non-negative, got -1"),
+    ({"seeds": [0, 0]}, "lists seed 0 twice"),
+    ({"fues_per_fap": [0]}, "one device per access point"),
+    ({"fues_per_fap": [1], "policy": "fifo",
+      "zipf": ZipfSpec(interests_per_fue=2, inter_arrival=1e308)},
+     "refresh ticks per arrival step"),
+], ids=["policy", "no-seed", "bool-seed", "negative-seed", "repeated-seed",
+        "no-device", "huge-arrival"])
+def test_scenario_config_rejects_what_parse_config_rejects(fields, message):
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=message):
+        ScenarioConfig(**fields)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_missing_file_is_a_config_error(tmp_path):
@@ -495,8 +516,8 @@ def test_run_rejects_repeated_or_negative_seeds(
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--fues", "2,4,2", "--fues lists device count 2 twice"),
-    ("--policies", "fifo,lru,fifo", "--policies lists policy 'fifo' twice"),
+    ("--fues", "2,4,2", "lists device count 2 twice"),
+    ("--policies", "fifo,lru,fifo", "lists policy 'fifo' twice"),
 ], ids=["fues", "policies"])
 def test_sweep_rejects_a_repeated_grid_value(
     tmp_path, capsys, monkeypatch, flag, value, message
@@ -510,6 +531,28 @@ def test_sweep_rejects_a_repeated_grid_value(
     assert main(argv) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["s.yaml"]
+
+
+@pytest.mark.parametrize("d2d, output", [
+    ("off", "avg_hops_d2d_off.svg"),
+    ("both", "sub/fronthaul_packets_d2d_on.svg"),
+], ids=["same-dir", "sub-dir"])
+def test_sweep_refuses_a_csv_path_among_its_charts(
+    tmp_path, capsys, monkeypatch, d2d, output
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(engine, "sweep", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    cfg = write(tmp_path, "s.yaml", SWEEP_YAML)
+    assert main([
+        "sweep", cfg, "--fues", "2", "--policies", "fifo", "--d2d", d2d,
+        "--plot", "--output", output,
+    ]) == EXIT_CONFIG
+    assert "is the metrics CSV path" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["s.yaml", "sub"]
 
 
 @pytest.mark.parametrize("seeds,trace_name,csv_name", [

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fransim import engine
 from fransim.config import ScenarioConfig
 from fransim.engine import Simulation, metrics_row, run_single, sweep
-from fransim.errors import InvariantViolation
+from fransim.errors import ConfigError, InvariantViolation
 from fransim.policies import (
     MAX_RATE, POLICY_NAMES, PolicyConfig, ScoreRule, refreshed_rate,
 )
@@ -378,6 +378,37 @@ def test_sweep_policy_order_is_irrelevant():
     a = sweep(small([0]), [5], ("fifo", "lru"), (False,))
     b = sweep(small([0]), [5], ("lru", "fifo"), (False,))
     assert a == b
+
+
+def test_sweep_takes_its_axes_as_any_iterables():
+    rows = sweep(small([0]), iter([5]), iter(("lru", "fifo")), iter((False,)))
+    assert rows == sweep(small([0]), [5], ("fifo", "lru"), (False,))
+
+
+@pytest.mark.parametrize("fues_per_fap, grid, message", [
+    ([1], ([], ("fifo",), (False,)), "the grid names no device count"),
+    ([1], ([1], (), (False,)), "the grid names no policy"),
+    ([1], ([1], ("fifo",), ()), "the grid names no D2D setting"),
+    ([1], ([1, 1], ("fifo", "fifo"), (False,)), "lists device count 1 twice"),
+    ([1], ([1], ("fifo", "lru", "fifo"), (False,)),
+     "lists policy 'fifo' twice"),
+    ([1], ([1], ("fifo",), (True, True)), "lists D2D setting True twice"),
+    ([1, 1], ([4, 1], ("fifo",), (False,)),
+     "device count 1 cannot cover 2 access points"),
+    ([1], ([1], ("fifo", "mru"), (False,)), "unknown policy 'mru'"),
+], ids=["no-count", "no-policy", "no-d2d", "repeated-count",
+        "repeated-policy", "repeated-d2d", "below-faps", "unknown-policy"])
+def test_sweep_checks_its_grid_before_any_cell_runs(
+    monkeypatch, fues_per_fap, grid, message
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(engine, "run_single", no_run)
+    cfg = ScenarioConfig(fues_per_fap=fues_per_fap,
+                         zipf=ZipfSpec(interests_per_fue=10), seeds=[0])
+    with pytest.raises(ConfigError, match=message):
+        sweep(cfg, *grid)
 
 
 @pytest.mark.parametrize("jobs,cpus,seeds,workers", [
