@@ -75,9 +75,12 @@ class ScenarioConfig:
                 f"unknown policy {self.policy!r}; policy.name must be one "
                 f"of {', '.join(POLICY_NAMES)}"
             )
+        fues = self.fues_per_fap
+        if not isinstance(fues, list) or not all(map(is_int, fues)):
+            raise ConfigError("topology.fues_per_fap must be a list of ints")
         seeds = self.seeds
         if not isinstance(seeds, list) or not seeds or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in seeds
+            map(is_int, seeds)
         ):
             raise ConfigError("run.seeds must be a non-empty list of ints")
         low = min(seeds)
@@ -163,6 +166,11 @@ def _read_block(cls, raw, where: str):
         raise ConfigError(str(exc)) from exc
 
 
+def is_int(value) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def first_repeat(values):
     """The first value in ``values`` that repeats an earlier one, or None."""
     seen = set()
@@ -204,9 +212,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("topology.n_faps must be positive")
     if isinstance(fues, int):
         fues = [fues] * n_faps
-    elif len(fues) != n_faps or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in fues
-    ):
+    elif len(fues) != n_faps or not all(map(is_int, fues)):
         raise ConfigError(
             "topology.fues_per_fap must list one int per access point"
         )

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import ScenarioConfig, first_repeat
+from .config import ScenarioConfig, first_repeat, is_int
 from .errors import ConfigError, InvariantViolation
 from .policies import MAX_RATE, PolicyConfig, ScoreRule, POLICY_NAMES
 from .topology import Catalog, Topology, distribute_fues
@@ -503,13 +503,14 @@ def sweep(
     Each cell is ``cfg`` with its policy, device count (spread evenly
     over ``cfg``'s access points) and D2D setting replaced, run at each
     of ``cfg.seeds``.  The grid is checked before any cell runs: an
-    empty axis, a value an axis repeats, a device count below
-    ``cfg.n_faps`` or an unknown policy raises ``ConfigError``.  The
-    request schedule for a cell depends only on (seed, device count),
-    so every policy and D2D setting sees identical workloads.  Rows
-    come back sorted by (policy, n_fues, d2d, seed) regardless of
-    n_jobs.  The pool never has more workers than cells or CPUs; with
-    one, the grid runs serially in this process.
+    empty axis, a value an axis repeats, a device count that is not an
+    int or is below ``cfg.n_faps``, or an unknown policy raises
+    ``ConfigError``.  The request schedule for a cell depends only on
+    (seed, device count), so every policy and D2D setting sees
+    identical workloads.  Rows come back sorted by (policy, n_fues,
+    d2d, seed) regardless of n_jobs.  The pool never has more workers
+    than cells or CPUs; with one, the grid runs serially in this
+    process.
     """
     grid = tuple(map(tuple, (fue_counts, policies, d2d_options)))
     fue_counts, policies, d2d_options = grid
@@ -519,6 +520,9 @@ def sweep(
         repeat = first_repeat(values)
         if repeat is not None:
             raise ConfigError(f"the grid lists {noun} {repeat!r} twice")
+    for n_fues in fue_counts:
+        if not is_int(n_fues):
+            raise ConfigError(f"device count {n_fues!r} is not an int")
     if min(fue_counts) < cfg.n_faps:
         raise ConfigError(
             f"device count {min(fue_counts)} cannot cover "

@@ -9,15 +9,20 @@ so popular content placed far from the core scores highest.
 
 This module provides the placement evaluator, an exhaustive optimal
 search for small instances, and a zero-one linearization of the
-polynomial objective together with a brute-force verifier that the
-linearization is exact.  Placements are plain ``{(name, node): 0|1}``
-maps; missing keys mean 0.
+polynomial objective together with an exhaustive verifier that the
+linearization is exact.  The search skips device stores, where a copy
+never pays.  The verifier works content by content: the objective is a
+sum over contents and only the capacity rows couple them, so it
+tabulates each content's assignments once and combines the tables over
+store loads.  Placements are plain ``{(name, node): 0|1}`` maps;
+missing keys mean 0.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import InstanceTooLarge
@@ -168,6 +173,17 @@ def _objective(walk, placement):
     return value
 
 
+def _earnings(walk, placement):
+    """The summands of ``_objective``: each placed copy's hop-weighted
+    demand, in placement order."""
+    rates = _propagate(walk, placement)
+    hop = walk[-1]
+    return [
+        rates.get(key, 0.0) * hop[key[1]]
+        for key, x in placement.items() if x
+    ]
+
+
 def _guard(topo: Topology, contents: list[str]) -> list[NodeId]:
     nodes = [n for n in caching_nodes(topo) if topo.capacity[n] > 0]
     size = len(contents) * len(nodes)
@@ -183,16 +199,25 @@ def _guard(topo: Topology, contents: list[str]) -> list[NodeId]:
 def brute_force_optimal(
     topo: Topology, demand: DemandSpec
 ) -> tuple[Placement, float]:
-    """Enumerate every feasible placement and return a maximizer.
+    """Enumerate every feasible placement without device copies and
+    return a maximizer.
 
     Ties go to the lexicographically smallest assignment vector, with
     variables ordered by (content, node id), so the result is unique.
+    That maximizer holds no device copy: a device copy earns its
+    device's demand thinned by itself, which is 0, and it only thins
+    the rates above it.  Rates and hop weights are non-negative and
+    IEEE ``+`` and ``*`` are monotone, so dropping the copy never
+    lowers the value, and it makes the vector smaller.  The guard
+    still counts device stores with room.
     """
     walk = _tree_walk(topo, demand)
     contents = walk[0]
     nodes = _guard(topo, contents)
     per_node_choices = []
     for node in nodes:
+        if topo.roles[node] is NodeRole.FUE:
+            continue
         cap = min(topo.capacity[node], len(contents))
         keys = [(name, node) for name in contents]
         subsets = []
@@ -418,6 +443,17 @@ def _index_program(program: LinearizedProgram):
     return terms, plain_rows
 
 
+# Relative tolerance of every comparison the verifier makes.
+_TOL = 1e-9
+# The most local assignments of one content, or load states, that the
+# content-wise verifier keeps; past it the scan runs.  Programs of two
+# or more contents that ``_expand`` writes within the guard need at
+# most 2^12 assignments (two contents over twelve stores) and 3^8 =
+# 6,561 states (three over eight); one content over more than 16
+# stores takes the scan.
+_STATE_LIMIT = 2 ** 16
+
+
 def verify_linearization(
     topo: Topology,
     demand: DemandSpec,
@@ -431,9 +467,33 @@ def verify_linearization(
     without an auxiliary must admit exactly the assignments that fit
     every store's capacity; and the maxima over feasible assignments
     must agree when each auxiliary instead ranges freely within its own
-    constraints.  Returns a falsy report naming the first
-    counterexample otherwise.
+    constraints.  Values are compared within a relative 1e-9.
+
+    The checks are made content by content when that proves they pass
+    (``_verify_by_content``).  Otherwise, and so for every program that
+    fails, every assignment is scanned in product order, and a falsy
+    report names the first counterexample.  ``checked`` counts every
+    assignment either way.
     """
+    task = _verification(topo, demand, program)
+    report = _verify_by_content(*task)
+    return report if report is not None else _scan(*task)
+
+
+def _scan_linearization(
+    topo: Topology,
+    demand: DemandSpec,
+    program: LinearizedProgram | None = None,
+) -> VerificationReport:
+    """``verify_linearization`` by the assignment-by-assignment scan."""
+    return _scan(*_verification(topo, demand, program))
+
+
+def _verification(topo, demand, program):
+    """Validate and read what both verifiers need: the tree walk, the
+    x variables with their (content, node) keys, the indexed objective
+    terms, each row without an auxiliary as (limit, [(coefficient, x
+    position)]), and each store as (capacity, [x positions])."""
     walk = _tree_walk(topo, demand)
     if program is None:
         program = _expand(topo, walk, False)
@@ -445,17 +505,61 @@ def verify_linearization(
             f"exceeding the exhaustive-search limit of "
             f"{ENUMERATION_LIMIT}"
         )
-    x_vars = program.x_vars
-    tol = 1e-9
-    inf = float("inf")
     terms, plain_rows = _index_program(program)
-    limits = [(rhs + tol * max(1.0, abs(rhs)), xs) for rhs, xs in plain_rows]
-    keys = [program.x_key[var] for var in x_vars]
+    limits = [(rhs + _TOL * max(1.0, abs(rhs)), xs) for rhs, xs in plain_rows]
+    keys = [program.x_key[var] for var in program.x_vars]
     held: dict[NodeId, list[int]] = {}
     for i, (_, node) in enumerate(keys):
         held.setdefault(node, []).append(i)
     stores = [(topo.capacity[node], idx) for node, idx in held.items()]
+    return walk, program.x_vars, keys, terms, limits, stores
 
+
+def _total(values) -> float:
+    """The left-to-right float sum, as the objective forms it."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _pinned(terms, bits) -> list[float]:
+    """The pinned linear value's summands: each auxiliary is 1 exactly
+    when all its factors are."""
+    held = []
+    for coeff, factors, _ in terms:
+        for j in factors:
+            if not bits[j]:
+                break
+        else:
+            held.append(coeff)
+    return held
+
+
+def _free(terms, bits) -> list[float]:
+    """The free linear value's summands: each auxiliary takes the bound
+    of its own rows that its coefficient favours."""
+    parts = []
+    for coeff, factors, side in terms:
+        if side is None:
+            parts.append(coeff * bits[factors[0]])
+            continue
+        bounds = []
+        for cz, rhs, xs in side:
+            rest = 0
+            for c, j in xs:
+                rest += c * bits[j]
+            bounds.append((rhs - rest) / cz)
+        if coeff > 0:
+            parts.append(coeff * min(bounds, default=math.inf))
+        else:
+            parts.append(coeff * max(bounds, default=-math.inf))
+    return parts
+
+
+def _scan(walk, x_vars, keys, terms, limits, stores) -> VerificationReport:
+    """Check every assignment in product order; a falsy report names
+    the first counterexample."""
     best_direct = None
     best_linear = None
     checked = 0
@@ -463,16 +567,9 @@ def verify_linearization(
         direct = _objective(
             walk, dict.fromkeys(itertools.compress(keys, bits), 1)
         )
-        # Pinned: each auxiliary is 1 exactly when all its factors are.
-        linear = 0.0
-        for coeff, factors, _ in terms:
-            for j in factors:
-                if not bits[j]:
-                    break
-            else:
-                linear += coeff
+        linear = _total(_pinned(terms, bits))
         checked += 1
-        if abs(linear - direct) > tol * max(1.0, abs(direct)):
+        if abs(linear - direct) > _TOL * max(1.0, abs(direct)):
             return VerificationReport(
                 False,
                 checked,
@@ -498,29 +595,14 @@ def verify_linearization(
             )
         if not feasible:
             continue
-        # Free: each auxiliary takes the bound its coefficient favours.
-        free = 0.0
-        for coeff, factors, side in terms:
-            if side is None:
-                free += coeff * bits[factors[0]]
-                continue
-            bounds = []
-            for cz, rhs, xs in side:
-                rest = 0
-                for c, j in xs:
-                    rest += c * bits[j]
-                bounds.append((rhs - rest) / cz)
-            if coeff > 0:
-                free += coeff * min(bounds, default=inf)
-            else:
-                free += coeff * max(bounds, default=-inf)
+        free = _total(_free(terms, bits))
         if best_direct is None or direct > best_direct:
             best_direct = direct
         if best_linear is None or free > best_linear:
             best_linear = free
 
     # The all-zero assignment comes first and fits every store: both are set.
-    if abs(best_linear - best_direct) > tol * max(1.0, abs(best_direct)):
+    if abs(best_linear - best_direct) > _TOL * max(1.0, abs(best_direct)):
         return VerificationReport(
             False,
             checked,
@@ -528,3 +610,199 @@ def verify_linearization(
             f"{best_direct!r}",
         )
     return VerificationReport(True, checked)
+
+
+def _verify_by_content(
+    walk, x_vars, keys, terms, limits, stores
+) -> VerificationReport | None:
+    """The scan's passing report, when the checks can be proved content
+    by content; None otherwise, for the scan to decide.
+
+    Each objective term, with the rows that bound it, must read one
+    content's variables, and the rows without an auxiliary must pass
+    ``_rows_match_stores``; then the rows admit exactly the feasible
+    assignments.  Each content's local assignments are tabulated once
+    (``_tabulate``).  The pinned check holds at every assignment if the
+    per-content gaps sum within the tolerance, and ``_best_feasible``
+    walks the contents for both optima.
+
+    The sums here associate differently from the scan's, so every check
+    allows ``slack`` times the summands' magnitudes for the difference.
+    ``slack`` is 0 when every summand is a multiple of 1/grid and all
+    magnitudes stay below 2^52/grid, so that every sum is exact.
+    Otherwise a sum of k summands is within k * 2^-53 of exact,
+    relative to their magnitudes, and ``slack`` covers the scan's sums,
+    these and the sums across contents twice over.
+    """
+    local = _terms_by_content(keys, terms)
+    if not local or not _rows_match_stores(limits, stores):
+        return None
+    # Only a store with fewer places than variables can overfill, so
+    # only those loads are kept.
+    binding = [(cap, idx) for cap, idx in stores if cap < len(idx)]
+    tables, sizes, grid = [], [], 1
+    for where, own in local:
+        if 2 ** len(where) > _STATE_LIMIT:
+            return None
+        tabulated = _tabulate(walk, keys, where, own, binding)
+        if tabulated is None:
+            return None
+        table, size, finest = tabulated
+        tables.append(table)
+        sizes.append(size)
+        grid = max(grid, finest)
+    # Sums over contents of each one's largest gap and magnitudes.
+    gap, pinned, direct, free = map(_total, zip(*sizes))
+
+    if grid <= 2 ** 52 / max(pinned + direct + free, 1.0):
+        slack = 0.0
+    else:
+        slack = (len(terms) + len(x_vars) + len(tables) + 2) * 2.0 ** -51
+    tol = _TOL * (1 - 1e-6)  # room for the rounding of these checks
+    if not gap + slack * (pinned + direct) <= tol:
+        return None
+    best = _best_feasible(tables, [cap for cap, _ in binding])
+    if best is None:
+        return None
+    best_direct, best_linear = best
+    miss = abs(best_linear - best_direct) + slack * (free + direct)
+    if not miss <= tol * max(1.0, abs(best_direct) - slack * direct):
+        return None
+    return VerificationReport(True, 2 ** len(x_vars))
+
+
+def _terms_by_content(keys, terms):
+    """Each content's x positions and objective terms, or None if a
+    term, with the rows that bound it, reads two contents or none."""
+    owner = [name for name, _ in keys]
+    local: dict[str, tuple[list[int], list]] = {}
+    for i, name in enumerate(owner):
+        local.setdefault(name, ([], []))[0].append(i)
+    for term in terms:
+        _, factors, side = term
+        touched = {owner[j] for j in factors}
+        for _, _, xs in side or ():
+            touched.update(owner[j] for _, j in xs)
+        if len(touched) != 1:
+            return None
+        local[touched.pop()][1].append(term)
+    return list(local.values())
+
+
+def _rows_match_stores(limits, stores) -> bool:
+    """Whether the rows without an auxiliary admit exactly the feasible
+    assignments, for a reason checked store by store: each row either
+    repeats a store's capacity row (coefficient 1 on exactly its
+    variables) or holds at every assignment (integral coefficients,
+    summed exactly, whose positive sum is within its limit), and at
+    each load of each store its repeats admit it exactly if it fits."""
+    repeats: dict[tuple[int, ...], list[float]] = {
+        tuple(idx): [] for _, idx in stores
+    }
+    for limit, xs in limits:
+        at = tuple(sorted(j for _, j in xs))
+        if at in repeats and all(c == 1 for c, _ in xs):
+            repeats[at].append(limit)
+        elif not (
+            all(float(c).is_integer() for c, _ in xs)
+            and sum(abs(c) for c, _ in xs) <= 2 ** 53
+            and sum(c for c, _ in xs if c > 0) <= limit
+        ):
+            return False
+    return all(
+        all(load <= limit for limit in repeats[tuple(idx)]) == (load <= cap)
+        for cap, idx in stores
+        for load in range(len(idx) + 1)
+    )
+
+
+def _tabulate(walk, keys, where, terms, binding):
+    """Every assignment of one content's variables at ``where``, grouped
+    by its loads on the binding stores, keeping each group's best
+    direct and free value.  Also returns the largest pinned-direct gap
+    and summand magnitudes (pinned, direct, free) over the assignments,
+    and the grid of every summand; None if a value is not finite."""
+    store_of = {i: k for k, (_, idx) in enumerate(binding) for i in idx}
+    bits = [0] * len(keys)
+    table: dict[tuple[int, ...], tuple[float, float]] = {}
+    gap = pinned_most = direct_most = free_most = 0.0
+    grid = 1
+    for choice in itertools.product((0, 1), repeat=len(where)):
+        loads = [0] * len(binding)
+        for i, bit in zip(where, choice):
+            bits[i] = bit
+            if i in store_of:
+                loads[store_of[i]] += bit
+        earned = _earnings(
+            walk, dict.fromkeys(itertools.compress(keys, bits), 1)
+        )
+        pinned = _pinned(terms, bits)
+        free = _free(terms, bits)
+        direct = _total(earned)
+        pinned_size = _total(map(abs, pinned))
+        free_size = _total(map(abs, free))
+        if not math.isfinite(pinned_size + direct + free_size):
+            return None
+        for value in itertools.chain(earned, pinned, free):
+            grid = max(grid, value.as_integer_ratio()[1])
+        gap = max(gap, abs(_total(pinned) - direct))
+        pinned_most = max(pinned_most, pinned_size)
+        direct_most = max(direct_most, direct)
+        free_most = max(free_most, free_size)
+        linear = _total(free)
+        key = tuple(loads)
+        best = table.get(key)
+        table[key] = (direct, linear) if best is None else (
+            max(best[0], direct), max(best[1], linear)
+        )
+    return table, (gap, pinned_most, direct_most, free_most), grid
+
+
+def _best_feasible(tables, caps):
+    """The best direct and free values over the assignments that fit
+    every binding store, walking the contents and keeping the best of
+    each load vector within ``caps``; None past the state limit."""
+    states = {(0,) * len(caps): (0.0, 0.0)}
+    for table in tables[:-1]:
+        grown: dict[tuple[int, ...], tuple[float, float]] = {}
+        for key, (direct, linear) in states.items():
+            for step, (d, f) in table.items():
+                loads = tuple(map(operator.add, key, step))
+                if any(map(operator.gt, loads, caps)):
+                    continue
+                best = grown.get(loads)
+                if best is None:
+                    if len(grown) == _STATE_LIMIT:
+                        return None
+                    grown[loads] = (direct + d, linear + f)
+                else:
+                    grown[loads] = (
+                        max(best[0], direct + d), max(best[1], linear + f)
+                    )
+        states = grown
+    # The last content joins by lookup: for each room left, the best
+    # values over the last table's loads that fit in it.
+    last = tables[-1]
+    top = [max(col) for col in zip(*last)]
+    fits = _dominated_best(last, top)
+    best_direct = best_linear = -math.inf
+    for key, (direct, linear) in states.items():
+        room = tuple(map(min, map(operator.sub, caps, key), top))
+        d, f = fits[room]
+        best_direct = max(best_direct, direct + d)
+        best_linear = max(best_linear, linear + f)
+    return best_direct, best_linear
+
+
+def _dominated_best(table, top):
+    """For every load vector up to ``top``, the best direct and free
+    values over the table's keys at or below it, coordinate by
+    coordinate: a running maximum along each axis in turn."""
+    points = list(itertools.product(*(range(t + 1) for t in top)))
+    best = {b: table.get(b, (-math.inf, -math.inf)) for b in points}
+    for j in range(len(top)):
+        for b in points:  # in product order, b's lower neighbour is done
+            if b[j]:
+                here, below = best[b], best[b[:j] + (b[j] - 1,) + b[j + 1:]]
+                best[b] = (max(here[0], below[0]), max(here[1], below[1]))
+    return best

@@ -198,6 +198,13 @@ def test_scenario_config_rejects_what_parse_config_rejects(fields, message):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("fues", [3, [1.5], [1, True], (1, 1)],
+                         ids=["int", "float", "bool", "tuple"])
+def test_scenario_config_needs_a_list_of_int_device_counts(fues):
+    with pytest.raises(ConfigError, match="must be a list of ints"):
+        ScenarioConfig(fues_per_fap=fues)
+
+
 def test_missing_file_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(str(tmp_path / "nope.yaml"))

@@ -396,8 +396,12 @@ def test_sweep_takes_its_axes_as_any_iterables():
     ([1, 1], ([4, 1], ("fifo",), (False,)),
      "device count 1 cannot cover 2 access points"),
     ([1], ([1], ("fifo", "mru"), (False,)), "unknown policy 'mru'"),
+    ([1], ([7.5], ("fifo",), (False,)), "device count 7.5 is not an int"),
+    ([1], ([2, True], ("fifo",), (False,)),
+     "device count True is not an int"),
 ], ids=["no-count", "no-policy", "no-d2d", "repeated-count",
-        "repeated-policy", "repeated-d2d", "below-faps", "unknown-policy"])
+        "repeated-policy", "repeated-d2d", "below-faps", "unknown-policy",
+        "float-count", "bool-count"])
 def test_sweep_checks_its_grid_before_any_cell_runs(
     monkeypatch, fues_per_fap, grid, message
 ):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fransim import oracle
 from fransim.errors import InstanceTooLarge
 from fransim.oracle import (
     Constraint,
@@ -233,7 +234,7 @@ RATES = st.integers(0, 6400).map(lambda k: k / 64) | st.sampled_from(
 
 
 @st.composite
-def small_instances(draw):
+def small_instances(draw, rates=RATES):
     """A tree of at most 2 F-APs x 2 devices and demand over at most 12
     placement variables (contents x stores with room)."""
     faps = draw(st.integers(1, 2))
@@ -247,7 +248,7 @@ def small_instances(draw):
     demand = {}
     for c in range(1, k + 1):
         for fue in topo.fues():
-            rate = draw(st.none() | RATES)
+            rate = draw(st.none() | rates)
             if rate is not None:
                 demand[(f"c{c}", fue)] = rate
     return topo, DemandSpec(demand)
@@ -329,7 +330,44 @@ def test_dropping_device_placements_never_hurts(open_topo):
         }
         full = objective_value(open_topo, demand, placement)
         bare = objective_value(open_topo, demand, stripped)
-        assert full <= bare + 1e-12
+        assert full <= bare
+
+
+@st.composite
+def placed_instances(draw):
+    """A tree of 1-3 F-APs x 1-3 devices with room at every tier, demand
+    at arbitrary finite non-negative rates, and a feasible placement
+    that may hold device copies."""
+    faps = draw(st.integers(1, 3))
+    topo = build_topology(
+        faps,
+        draw(st.lists(st.integers(1, 3), min_size=faps, max_size=faps)),
+        Capacities(*draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))),
+    )
+    contents = [f"c{c}" for c in range(1, draw(st.integers(1, 3)) + 1)]
+    rates = st.floats(0, 1e300, allow_subnormal=True)
+    demand = {(name, fue): draw(rates)
+              for name in contents for fue in topo.fues()}
+    placement = {}
+    for node in caching_nodes(topo):
+        room = min(topo.capacity[node], len(contents))
+        for name in draw(st.lists(st.sampled_from(contents), max_size=room,
+                                  unique=True)):
+            placement[(name, node)] = 1
+    return topo, DemandSpec(demand), placement
+
+
+@settings(max_examples=200, deadline=None)
+@given(placed_instances())
+def test_dropping_device_copies_never_lowers_the_value(instance):
+    # brute_force_optimal searches no device store on the strength of
+    # this exact inequality, so it holds without slack.
+    topo, demand, placement = instance
+    fues = set(topo.fues())
+    stripped = {key: x for key, x in placement.items() if key[1] not in fues}
+    full = objective_value(topo, demand, placement)
+    bare = objective_value(topo, demand, stripped)
+    assert full <= bare
 
 
 # -- zero-one linearization ---------------------------------------------
@@ -682,6 +720,24 @@ def test_pinned_and_direct_agree_pointwise_by_hand(open_topo):
     assert linear == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("caps", [(4, 4, 4), (2, 2, 1)],
+                         ids=["roomy", "binding"])
+def test_the_widest_program_the_guard_admits_verifies(caps):
+    # 4 contents over 6 stores: 24 variables, 2^24 assignments.
+    topo = build_topology(2, [1, 2], Capacities(*caps))
+    fues = topo.fues()
+    demand = DemandSpec({
+        (f"c{c}", fue): float(1 + (7 * c + 3 * k) % 20)
+        for c in range(1, 5) for k, fue in enumerate(fues)
+    })
+    report = verify_linearization(topo, demand)
+    assert report.ok
+    assert report.checked == 2 ** 24
+    placement, value = brute_force_optimal(topo, demand)
+    assert not any(node in fues for _, node in placement)
+    assert value == objective_value(topo, demand, placement)
+
+
 # -- the verifier reads the program's rows ------------------------------
 
 @pytest.fixture
@@ -786,3 +842,71 @@ def test_rows_the_verifier_cannot_read_are_refused(
         verify_linearization(
             unit_store_topo, split_demand, replace(prog, constraints=rows)
         )
+
+
+# -- the content-wise verifier agrees with the scan -----------------------
+
+def program_mutations(prog):
+    """Named variants of a program: an objective coefficient changed, an
+    auxiliary's bound dropped, a capacity row loosened, tightened or
+    dropped, and a row tying an auxiliary to another content."""
+    variants = {"unchanged": prog}
+    if prog.objective:
+        var = sorted(prog.objective)[0]
+        objective = dict(prog.objective)
+        objective[var] += 1.0
+        variants["coefficient"] = replace(prog, objective=objective)
+    caps = [n for n, con in enumerate(prog.constraints)
+            if all(var in prog.x_key for var in con.coeffs)]
+    bounds = [n for n in range(len(prog.constraints)) if n not in caps]
+    if bounds:
+        n = bounds[len(bounds) // 2]
+        variants["bound-dropped"] = replace(
+            prog, constraints=prog.constraints[:n] + prog.constraints[n + 1:]
+        )
+    if caps:
+        n = caps[0]
+        con = prog.constraints[n]
+        for kind, row in (
+            ("capacity-loosened", Constraint(con.coeffs, con.rhs + 1)),
+            ("capacity-tightened", Constraint(con.coeffs, con.rhs - 1)),
+            ("capacity-dropped", None),
+        ):
+            rows = list(prog.constraints)
+            rows[n:n + 1] = [] if row is None else [row]
+            variants[kind] = replace(prog, constraints=rows)
+    for z in prog.z_vars:
+        name = prog.x_key[min(prog.monomials[z])][0]
+        other = next((var for var in prog.x_vars
+                      if prog.x_key[var][0] != name), None)
+        if other is not None:
+            # On the side the auxiliary's coefficient favours, so the
+            # free maximum reads it.
+            sign = 1.0 if prog.objective[z] > 0 else -1.0
+            extra = Constraint({z: sign, other: -sign}, 0.0)
+            variants["spanning"] = replace(
+                prog, constraints=prog.constraints + [extra]
+            )
+            break
+    return variants
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances() | small_instances(st.floats(0, 1e4)))
+def test_content_wise_verifier_reports_what_the_scan_reports(instance):
+    # Dyadic rates sum exactly; float rates take the rounding bound.
+    topo, demand = instance
+    for drop in (False, True):
+        prog = linearize(topo, demand, drop_zero_capacity=drop)
+        if len(prog.x_vars) > 12:
+            continue  # keeps the scan's 2^n within a test's time
+        for kind, variant in program_mutations(prog).items():
+            fast = verify_linearization(topo, demand, variant)
+            scan = oracle._scan_linearization(topo, demand, variant)
+            assert (fast.ok, fast.checked, fast.message,
+                    fast.counterexample) == (scan.ok, scan.checked,
+                                             scan.message,
+                                             scan.counterexample), kind
+            if kind == "spanning":
+                task = oracle._verification(topo, demand, variant)
+                assert oracle._verify_by_content(*task) is None
