@@ -9,10 +9,15 @@ sequence) with rate-refresh ticks firing before same-time arrivals;
 processing is single-threaded and uses no randomness, so a run is a
 pure function of (topology, schedule, policy, knobs).
 
-``Simulation._request`` only finds the depth on the consumer's path
-that serves a request.  Each serve but a D2D one runs ``_serve`` (tier
+The request kernel is chosen once per run.  FIFO and LRU without
+``debug`` or a trace run ``_request_plain``, which serves, counts and
+admits in one flat function.  Rate-hop, ``debug`` and tracing run the
+general ``_request``, which only finds the depth on the consumer's path
+that serves a request: each serve but a D2D one runs ``_serve`` (tier
 count, interest record, data walk down with caching) and each miss runs
-``_forward`` (PIT check under ``debug``, record when tracing).
+``_forward`` (PIT check under ``debug``, record when tracing).  Both
+kernels leave the same stores, in the same order, with the same
+weights, and the same counters.
 
 For speed the hot path keys all per-node state by integer content
 rank rather than by name and relies on two exact shortcuts: victims
@@ -40,7 +45,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import ScenarioConfig, first_repeat, is_int
+from .config import MAX_TICKS_PER_STEP, ScenarioConfig, first_repeat, is_int
 from .errors import ConfigError, InvariantViolation
 from .policies import MAX_RATE, PolicyConfig, ScoreRule, POLICY_NAMES
 from .topology import Catalog, Topology, distribute_fues
@@ -80,6 +85,15 @@ def _plain_time(now):
     if not math.isfinite(now):
         raise ValueError(f"time must be finite, got {now}")
     return now
+
+
+def _offer(store: dict, cap: int, rank: int, weight: int) -> None:
+    """Admit ``rank``, which ``store`` does not hold, to a FIFO or LRU
+    store of capacity ``cap``, evicting its first entry when full."""
+    if cap:
+        if len(store) >= cap:
+            del store[next(iter(store))]
+        store[rank] = weight
 
 
 @dataclass
@@ -181,6 +195,22 @@ class Simulation:
         self.seq = 0
         self._n = 0
         self._hits = [0] * len(TIER_KEYS)  # one count per tier, in order
+
+        if not (self._is_ratehop or self._forwards):
+            # Per device: its own, F-AP and BBU stores and capacities, and
+            # its D2D group; data fetched over 2 and 3 hops is weighted so.
+            capacity = topo.capacity
+            self._plain = {
+                fue: (
+                    self._cs[fue], capacity[fue],
+                    self._cs[path[1]], capacity[path[1]],
+                    self._cs[path[2]], capacity[path[2]],
+                    self._group_of[fue],
+                )
+                for fue, path in self._paths.items()
+            }
+            self._far_weights = (1, 1) if self._rate_only else (2, 3)
+            self._request = self._request_plain
 
     # -- public inspection / scripting helpers ------------------------
 
@@ -307,6 +337,48 @@ class Simulation:
         # Tier 3: the producer always serves.
         self._serve(rank, now, seq, path, 3)
 
+    def _request_plain(self, fue: int, rank: int, now: float) -> None:
+        """``_request`` for FIFO and LRU without debug or trace, with
+        ``_serve`` and ``_cache`` inlined: the tiers are asked in the
+        same order and data is offered from the serving node down."""
+        self.seq += 1
+        self._n += 1
+        hits = self._hits
+        own, own_cap, fap, fap_cap, bbu, bbu_cap, group = self._plain[fue]
+        lru = self._is_lru
+        if rank in own:
+            if lru:
+                own[rank] = own.pop(rank)
+            hits[0] += 1
+            return
+        if rank in fap:
+            if lru:
+                fap[rank] = fap.pop(rank)
+            hits[2] += 1
+            _offer(own, own_cap, rank, 1)
+            return
+        if group is not None:
+            for peer_store in group:
+                if rank in peer_store:
+                    if lru:
+                        peer_store[rank] = peer_store.pop(rank)
+                    hits[1] += 1
+                    if self.cache_d2d_data:
+                        _offer(own, own_cap, rank, 1)
+                    return
+        two, three = self._far_weights
+        if rank in bbu:
+            if lru:
+                bbu[rank] = bbu.pop(rank)
+            hits[3] += 1
+            _offer(fap, fap_cap, rank, 1)
+            _offer(own, own_cap, rank, two)
+            return
+        hits[4] += 1
+        _offer(bbu, bbu_cap, rank, 1)
+        _offer(fap, fap_cap, rank, two)
+        _offer(own, own_cap, rank, three)
+
     def _serve(
         self, rank: int, now: float, seq: int, path: tuple, served_depth: int
     ) -> None:
@@ -424,17 +496,33 @@ class Simulation:
 
         Ticks land at tau, 2 tau, ... and take effect before arrivals
         that share the same time.  Times are checked and converted as
-        :meth:`request` does, once per time object.
+        :meth:`request` does, once per time object.  A row that would
+        take the run past ``MAX_TICKS_PER_STEP`` ticks per row replayed
+        so far, itself included, raises ``ValueError`` before any of
+        its ticks fire; every run a ``ScenarioConfig`` admits stays
+        within that bound.
         """
         tau = self.config.tau
         tick_no = 1
         next_tick = tau
         index = self.catalog.index
         request = self._request
+        start = self._n
         last = object()  # no row's time is this object
         for t, fue, name in schedule:
             if t is not last:
                 last, now = t, _plain_time(t)
+            # Tick k fires at tau * k, so the run passes its tick limit
+            # iff the next tick past it is due; a float product cannot
+            # raise, and an overflow to inf is simply never due.
+            if next_tick <= now and tau * (
+                MAX_TICKS_PER_STEP * (self._n - start + 1) + 1
+            ) <= now:
+                raise ValueError(
+                    f"policy tau {tau!r} is too short for this schedule: "
+                    f"reaching time {now!r} would fire more than "
+                    f"{MAX_TICKS_PER_STEP} refresh ticks per row replayed"
+                )
             while next_tick <= now:
                 self.tick(next_tick)
                 tick_no += 1
@@ -446,12 +534,27 @@ class Simulation:
 
 
 def run_single(
-    cfg: ScenarioConfig, seed: int, *, debug: bool = False, trace=None
+    cfg: ScenarioConfig,
+    seed: int,
+    *,
+    debug: bool = False,
+    trace=None,
+    schedules: dict | None = None,
 ) -> MetricsReport:
-    """Build the scenario ``cfg`` describes and replay it at ``seed``."""
+    """Build the scenario ``cfg`` describes and replay it at ``seed``.
+
+    ``schedules``, if given, memoizes the request schedule by workload
+    and device ids across calls, so runs that share both build it once.
+    """
     topo = cfg.topology()
     zipf = replace(cfg.zipf, seed=seed)
-    schedule = build_schedule(zipf, topo.fues())
+    fues = topo.fues()
+    if schedules is None:
+        schedules = {}
+    key = (zipf, tuple(fues))
+    if key not in schedules:
+        schedules[key] = build_schedule(zipf, fues)
+    schedule = schedules[key]
     sim = Simulation(
         topo,
         Catalog(zipf.catalog_size),
@@ -483,9 +586,16 @@ def metrics_row(cfg: ScenarioConfig, seed: int, report: MetricsReport) -> dict:
     }
 
 
-def _run_cell(cell) -> dict:
-    cfg, seed, debug = cell
-    return metrics_row(cfg, seed, run_single(cfg, seed, debug=debug))
+def _run_group(cells) -> list[dict]:
+    """The metrics rows of cells that share one (seed, device count),
+    and so one schedule, built once."""
+    schedules: dict = {}
+    return [
+        metrics_row(
+            cfg, seed, run_single(cfg, seed, debug=debug, schedules=schedules)
+        )
+        for cfg, seed, debug in cells
+    ]
 
 
 def sweep(
@@ -507,10 +617,13 @@ def sweep(
     int or is below ``cfg.n_faps``, or an unknown policy raises
     ``ConfigError``.  The request schedule for a cell depends only on
     (seed, device count), so every policy and D2D setting sees
-    identical workloads.  Rows come back sorted by (policy, n_fues,
-    d2d, seed) regardless of n_jobs.  The pool never has more workers
-    than cells or CPUs; with one, the grid runs serially in this
-    process.
+    identical workloads: the cells are grouped by (seed, device count)
+    and each group builds its schedule once.  Groups run largest device
+    count first, one task each; when there are fewer groups than
+    workers, each group is split so that every worker has a task.  Rows
+    come back sorted by (policy, n_fues, d2d, seed) regardless of
+    n_jobs.  The pool never has more workers than cells or CPUs; with
+    one, the grid runs serially in this process.
     """
     grid = tuple(map(tuple, (fue_counts, policies, d2d_options)))
     fue_counts, policies, d2d_options = grid
@@ -528,26 +641,34 @@ def sweep(
             f"device count {min(fue_counts)} cannot cover "
             f"{cfg.n_faps} access points with one device each"
         )
-    cells = [
-        (
-            replace(
-                cfg,
-                policy=policy,
-                fues_per_fap=distribute_fues(n_fues, cfg.n_faps),
-                d2d_enabled=d2d,
-            ),
-            seed,
-            debug,
-        )
-        for policy, n_fues, d2d, seed in itertools.product(
-            policies, fue_counts, d2d_options, cfg.seeds
+    groups = [
+        [
+            (
+                replace(
+                    cfg,
+                    policy=policy,
+                    fues_per_fap=distribute_fues(n_fues, cfg.n_faps),
+                    d2d_enabled=d2d,
+                ),
+                seed,
+                debug,
+            )
+            for policy, d2d in itertools.product(policies, d2d_options)
+        ]
+        for n_fues, seed in sorted(
+            itertools.product(fue_counts, cfg.seeds), key=lambda g: -g[0]
         )
     ]
-    n_jobs = min(n_jobs, len(cells), os.cpu_count() or 1)
+    n_cells = len(groups) * len(groups[0])
+    n_jobs = min(n_jobs, n_cells, os.cpu_count() or 1)
     if n_jobs > 1:
+        # One task per group, unless there are fewer groups than workers.
+        parts = min(-(-n_jobs // len(groups)), len(groups[0]))
+        tasks = [group[i::parts] for group in groups for i in range(parts)]
         with multiprocessing.Pool(n_jobs) as pool:
-            rows = pool.map(_run_cell, cells)
+            done = pool.map(_run_group, tasks, chunksize=1)
     else:
-        rows = [_run_cell(cell) for cell in cells]
+        done = map(_run_group, groups)
+    rows = [row for task in done for row in task]
     rows.sort(key=lambda r: (r["policy"], r["n_fues"], r["d2d"], r["seed"]))
     return rows

@@ -1,19 +1,22 @@
 import json
+import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fransim import engine
-from fransim.config import ScenarioConfig
+from fransim.config import MAX_TICKS_PER_STEP, ScenarioConfig
 from fransim.engine import Simulation, metrics_row, run_single, sweep
 from fransim.errors import ConfigError, InvariantViolation
 from fransim.policies import (
     MAX_RATE, POLICY_NAMES, PolicyConfig, ScoreRule, refreshed_rate,
 )
-from fransim.topology import Capacities, Catalog, build_topology
+from fransim.topology import (
+    Capacities, Catalog, build_topology, distribute_fues,
+)
 from fransim.workload import ZipfSpec, build_schedule
 
 from _reference import ReferenceSimulation
@@ -191,6 +194,73 @@ def test_tick_times_do_not_drift():
     records = [json.loads(line) for line in trace]
     ticks = [r["time"] for r in records if r["kind"] == "tick"]
     assert ticks == [0.3 * k for k in range(1, 11)]
+
+
+def test_a_replay_refuses_a_row_that_would_tick_past_its_bound(monkeypatch):
+    # Reaching 1e308 at tau = 100 takes 1e306 ticks: the replay raises
+    # before its first one.
+    ticks = []
+
+    def counted_tick(sim, now):
+        ticks.append(now)
+        if len(ticks) > 10:
+            raise AssertionError("the replay kept ticking")
+
+    monkeypatch.setattr(Simulation, "tick", counted_tick)
+    topo = ScenarioConfig(fues_per_fap=[1], policy="fifo",
+                          seeds=[0]).topology()
+    sim = Simulation(topo, Catalog(2), "fifo")
+    fue = topo.fues()[0]
+    with pytest.raises(ValueError, match="policy tau 100.0 is too short"):
+        sim.run_schedule([(0.0, fue, "c1"), (1e308, fue, "c2")])
+    assert ticks == [] and sim.report().total_interests == 1
+
+
+@pytest.mark.parametrize("last, ok", [
+    (2000.0, True),   # 2000 ticks for 2 rows: at the bound
+    (2000.5, True),
+    (2001.0, False),  # tick 2001 would fire
+])
+def test_a_replay_fires_at_most_the_tick_bound_per_row(last, ok):
+    topo = chain((1, 1, 1))
+    sim = Simulation(topo, Catalog(2), "fifo", PolicyConfig(tau=1.0))
+    fue = topo.fues()[0]
+    schedule = [(0.0, fue, "c1"), (last, fue, "c2")]
+    if ok:
+        assert sim.run_schedule(schedule).total_interests == 2
+        assert sim.seq == 2 + 2000
+    else:
+        with pytest.raises(ValueError, match="refresh ticks per row"):
+            sim.run_schedule(schedule)
+        assert sim.seq == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    steps=st.integers(2, 5),
+    tau=st.floats(1e-3, 1e3),
+    nudge=st.integers(-3, 3),
+)
+def test_every_accepted_config_replays_within_the_tick_bound(
+    steps, tau, nudge
+):
+    # One device, so one row per arrival step: the tightest case, with
+    # the inter-arrival time at the config's tick bound give or take a
+    # few floats.
+    gap = tau * MAX_TICKS_PER_STEP * steps / (steps - 1)
+    for _ in range(abs(nudge)):
+        gap = math.nextafter(gap, math.inf if nudge > 0 else 0.0)
+    try:
+        cfg = ScenarioConfig(
+            fues_per_fap=[1], policy="fifo",
+            policy_config=PolicyConfig(tau=tau),
+            zipf=ZipfSpec(catalog_size=2, interests_per_fue=steps,
+                          inter_arrival=gap),
+            seeds=[0],
+        )
+    except ConfigError:
+        assume(False)
+    assert run_single(cfg, 0).total_interests == steps
 
 
 def test_refresh_halves_idle_rates():
@@ -415,15 +485,10 @@ def test_sweep_checks_its_grid_before_any_cell_runs(
         sweep(cfg, *grid)
 
 
-@pytest.mark.parametrize("jobs,cpus,seeds,workers", [
-    (64, 2, 4, 2),     # capped by the CPU count
-    (64, 8, 3, 3),     # capped by the number of cells
-    (3, 8, 4, 3),      # under both caps: as asked
-    (4, None, 4, 0),   # CPU count unknown: serial, no pool
-    (8, 8, 1, 0),      # one cell: serial, no pool
-])
-def test_sweep_bounds_its_pool(monkeypatch, jobs, cpus, seeds, workers):
-    started = []
+def fake_pool(monkeypatch, cpus):
+    """Run the sweep's pool tasks in this process on ``cpus`` CPUs; return
+    the worker counts pools were started with and the tasks they ran."""
+    started, tasks = [], []
 
     class FakePool:
         def __init__(self, processes):
@@ -435,14 +500,64 @@ def test_sweep_bounds_its_pool(monkeypatch, jobs, cpus, seeds, workers):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, cells):
-            return [fn(cell) for cell in cells]
+        def map(self, fn, items, chunksize=None):
+            tasks.extend(items)
+            return [fn(item) for item in items]
 
     monkeypatch.setattr(engine.multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+    return started, tasks
+
+
+@pytest.mark.parametrize("jobs,cpus,seeds,workers", [
+    (64, 2, 4, 2),     # capped by the CPU count
+    (64, 8, 3, 3),     # capped by the number of cells
+    (3, 8, 4, 3),      # under both caps: as asked
+    (4, None, 4, 0),   # CPU count unknown: serial, no pool
+    (8, 8, 1, 0),      # one cell: serial, no pool
+])
+def test_sweep_bounds_its_pool(monkeypatch, jobs, cpus, seeds, workers):
+    started, _ = fake_pool(monkeypatch, cpus)
     rows = sweep(small(range(seeds)), [5], ("fifo",), (False,), n_jobs=jobs)
     assert len(rows) == seeds
     assert started == ([workers] if workers else [])
+
+
+def test_sweep_builds_each_schedule_once(monkeypatch):
+    builds = []
+
+    def counted_build(spec, fue_ids):
+        builds.append((spec.seed, len(fue_ids)))
+        return build_schedule(spec, fue_ids)
+
+    monkeypatch.setattr(engine, "build_schedule", counted_build)
+    rows = sweep(small([0, 1]), [5, 6])
+    assert sorted(builds) == [(0, 5), (0, 6), (1, 5), (1, 6)]
+    assert len(rows) == 2 * 2 * 3 * 2
+    # Each row is its cell's own run, with a schedule built for it alone.
+    for row in rows:
+        cfg = replace(small([0]), policy=row["policy"], d2d_enabled=row["d2d"],
+                      fues_per_fap=distribute_fues(row["n_fues"], 5))
+        report = run_single(cfg, row["seed"])
+        assert row == metrics_row(cfg, row["seed"], report)
+
+
+@pytest.mark.parametrize("counts, seeds, tasks_cells", [
+    # One group, two workers: the group is split in two.
+    ([5], [0], [(5, 3), (5, 3)]),
+    # Four groups: one task each, the largest device count first.
+    ([5, 6], [0, 1], [(6, 6), (6, 6), (5, 6), (5, 6)]),
+])
+def test_sweep_balances_its_groups_over_the_workers(
+    monkeypatch, counts, seeds, tasks_cells
+):
+    started, tasks = fake_pool(monkeypatch, 2)
+    rows = sweep(small(seeds), counts, n_jobs=2)
+    assert started == [2]
+    assert [
+        (sum(task[0][0].fues_per_fap), len(task)) for task in tasks
+    ] == tasks_cells
+    assert rows == sweep(small(seeds), counts, n_jobs=1)
 
 
 def test_parallel_sweep_matches_serial():
@@ -755,6 +870,108 @@ def test_engine_refresh_is_refreshed_rate_bit_for_bit(weights, old, k):
     expected = refreshed_rate(alpha, beta, k, rate).hex()
     for node in nodes:
         assert sim.rate_of(node, "c1").hex() == expected, node
+
+
+# -- the plain FIFO/LRU kernel ----------------------------------------------
+
+def test_the_kernel_is_chosen_once_per_run():
+    topo = chain((1, 1, 1))
+
+    def kernel(policy, **kw):
+        return Simulation(topo, Catalog(2), policy, **kw)._request.__func__
+
+    for policy in ("fifo", "lru"):
+        assert kernel(policy) is Simulation._request_plain
+        assert kernel(policy, debug=True) is Simulation._request
+        assert kernel(policy, trace=[]) is Simulation._request
+        assert kernel(policy, trace=print) is Simulation._request
+    assert kernel("rate-hop") is Simulation._request
+
+
+def kernel_state(sim):
+    """What a run leaves: its report, its event count, and every store
+    as an ordered list of (rank, weight) entries."""
+    return sim.report(), sim.seq, [list(store.items()) for store in sim._cs]
+
+
+KERNEL_SCENARIOS = dict(
+    fues_per_fap=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    caps=st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 2)),
+    policy=st.sampled_from(("fifo", "lru")),
+    rule=st.sampled_from(ScoreRule),
+    d2d=st.booleans(),
+    cache_d2d=st.booleans(),
+    catalog_size=st.integers(1, 60),
+)
+
+
+def kernel_sims(fues_per_fap, caps, policy, rule, d2d, cache_d2d,
+                catalog_size, tau=100.0):
+    """The plain kernel, then the general one forced by a trace and by
+    ``debug``, on one scenario."""
+    topo = build_topology(len(fues_per_fap), fues_per_fap, Capacities(*caps),
+                          d2d)
+    config = PolicyConfig(tau=tau, score_rule=rule)
+    sims = [
+        Simulation(topo, Catalog(catalog_size), policy, config,
+                   cache_d2d_data=cache_d2d, **kw)
+        for kw in ({}, {"trace": []}, {"debug": True})
+    ]
+    assert sims[0]._request.__func__ is Simulation._request_plain
+    return topo, sims
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    **KERNEL_SCENARIOS,
+    tau=st.floats(0.5, 50),
+    exponent=st.sampled_from([0.0, 0.8, 1.5]),
+    interests=st.integers(1, 300),
+    seed=st.integers(0, 2**16),
+)
+def test_plain_kernel_replays_as_the_general_one(
+    fues_per_fap, caps, policy, rule, d2d, cache_d2d, catalog_size, tau,
+    exponent, interests, seed,
+):
+    topo, sims = kernel_sims(fues_per_fap, caps, policy, rule, d2d,
+                             cache_d2d, catalog_size, tau)
+    schedule = build_schedule(
+        ZipfSpec(exponent=exponent, catalog_size=catalog_size, seed=seed,
+                 interests_per_fue=interests),
+        topo.fues(),
+    )
+    for sim in sims:
+        sim.run_schedule(schedule)
+    plain, traced, debug = map(kernel_state, sims)
+    assert plain == traced == debug
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    **KERNEL_SCENARIOS,
+    steps=st.lists(
+        st.none() | st.tuples(st.integers(0, 8), st.integers(1, 60)),
+        max_size=60,
+    ),
+)
+def test_plain_kernel_answers_scripted_calls_as_the_general_one(
+    fues_per_fap, caps, policy, rule, d2d, cache_d2d, catalog_size, steps,
+):
+    # Each step is a tick (None) or a request by one device, both picked
+    # modulo what the scenario has; the kernels agree after every call.
+    topo, sims = kernel_sims(fues_per_fap, caps, policy, rule, d2d,
+                             cache_d2d, catalog_size)
+    fues = topo.fues()
+    for now, step in enumerate(steps):
+        for sim in sims:
+            if step is None:
+                sim.tick(now)
+            else:
+                device, rank = step
+                sim.request(fues[device % len(fues)],
+                            f"c{rank % catalog_size + 1}", now)
+        plain, traced, debug = map(kernel_state, sims)
+        assert plain == traced == debug
 
 
 # -- debug instrumentation --------------------------------------------------
