@@ -9,15 +9,16 @@ sequence) with rate-refresh ticks firing before same-time arrivals;
 processing is single-threaded and uses no randomness, so a run is a
 pure function of (topology, schedule, policy, knobs).
 
-The request kernel is chosen once per run.  FIFO and LRU without
-``debug`` or a trace run ``_request_plain``, which serves, counts and
-admits in one flat function.  Rate-hop, ``debug`` and tracing run the
-general ``_request``, which only finds the depth on the consumer's path
-that serves a request: each serve but a D2D one runs ``_serve`` (tier
-count, interest record, data walk down with caching) and each miss runs
-``_forward`` (PIT check under ``debug``, record when tracing).  Both
-kernels leave the same stores, in the same order, with the same
-weights, and the same counters.
+The request kernel is chosen once per run, by policy:
+``_request_plain`` for FIFO and LRU and ``_request_ratehop`` for
+rate-hop, whose misses also count window demand, whose deliveries bump
+rates and whose stores admit by score (``_admit``).  Each kernel asks
+the tiers in order, counts the request at the one that serves it,
+offers the data to each store on the way down and returns that tier's
+slot.  Neither writes a trace or checks an invariant.  Under ``debug``
+or a trace, ``_observed`` runs the kernel and then the walk its serving
+tier implies, precomputed per device and tier: it writes each record
+and runs the PIT and capacity checks over them.
 
 For speed the hot path keys all per-node state by integer content
 rank rather than by name and relies on two exact shortcuts: victims
@@ -53,8 +54,11 @@ from .workload import build_schedule
 
 TIER_KEYS = ("own_cs", "d2d", "fap", "bbu", "producer")
 
-# Per served depth (own store, F-AP, BBU, producer): tier slot, outcome.
-_SERVED = ((0, "own-hit"), (2, "cs-hit"), (3, "cs-hit"), (4, "origin"))
+# Per tier slot, in ``TIER_KEYS`` order: the depth on the consumer's
+# path of the node that serves, and its interest record's outcome.
+_SERVING = (
+    (0, "own-hit"), (1, "d2d"), (1, "cs-hit"), (2, "cs-hit"), (3, "origin"),
+)
 
 # One trace record as its JSON line, keys in sorted order.  Each line is
 # byte-identical to ``json.dumps(record, sort_keys=True)``: kinds,
@@ -94,6 +98,26 @@ def _offer(store: dict, cap: int, rank: int, weight: int) -> None:
         if len(store) >= cap:
             del store[next(iter(store))]
         store[rank] = weight
+
+
+def _walks(path: tuple, shared: dict) -> tuple:
+    """Per tier slot, what a request from ``path[0]`` served there
+    implies: its trace records as (kind, node, outcome) in order, the
+    nodes below the serving one, each of which forwarded the request
+    and so has it pending until the data passes back down, and the
+    nodes whose stores the data may have reached.  Records are taken
+    from ``shared``, so devices that share an F-AP share its records."""
+    walks = []
+    for depth, outcome in _SERVING:
+        below = path[:depth]
+        arrival = "delivered" if outcome == "d2d" else "arrived"
+        records = tuple(shared.setdefault(r, r) for r in (
+            [("interest", node, "forwarded") for node in below]
+            + [("interest", path[depth], outcome)]
+            + [("data", node, arrival) for node in reversed(below)]
+        ))
+        walks.append((records, below, path[:depth + 1] if depth else ()))
+    return tuple(walks)
 
 
 @dataclass
@@ -153,13 +177,10 @@ class Simulation:
             self._emit = None
         else:
             self._emit = trace.append if isinstance(trace, list) else trace
-        # Whether a miss has anything to do: check the PIT or write a record.
-        self._forwards = debug or self._emit is not None
 
         n = len(topo)
         self._is_lru = policy == "lru"
         self._is_ratehop = policy == "rate-hop"
-        self._rate_only = self.config.score_rule is ScoreRule.RATE_ONLY
 
         # Per-node state, indexed by NodeId.  Stores map content rank
         # (0-based) to the weight its data was fetched with (1 under the
@@ -191,14 +212,22 @@ class Simulation:
         self._paths = {
             fue: tuple(topo.upstream_path(fue)) for fue in topo.fues()
         }
+        # Data fetched over 2 and 3 hops is weighted so.
+        rate_only = self.config.score_rule is ScoreRule.RATE_ONLY
+        self._far_weights = (1, 1) if rate_only else (2, 3)
 
         self.seq = 0
         self._n = 0
         self._hits = [0] * len(TIER_KEYS)  # one count per tier, in order
 
-        if not (self._is_ratehop or self._forwards):
-            # Per device: its own, F-AP and BBU stores and capacities, and
-            # its D2D group; data fetched over 2 and 3 hops is weighted so.
+        # The kernels are kept as plain functions, not bound methods: a
+        # bound method on the instance would hold it in a reference
+        # cycle that only the cycle collector frees.
+        if self._is_ratehop:
+            self._kernel = Simulation._request_ratehop
+        else:
+            # Per device: its own, F-AP and BBU stores and capacities,
+            # and its D2D group.
             capacity = topo.capacity
             self._plain = {
                 fue: (
@@ -209,8 +238,15 @@ class Simulation:
                 )
                 for fue, path in self._paths.items()
             }
-            self._far_weights = (1, 1) if self._rate_only else (2, 3)
-            self._request = self._request_plain
+            self._kernel = Simulation._request_plain
+        if debug or self._emit is not None:
+            shared: dict = {}
+            self._walks = {
+                fue: _walks(path, shared) for fue, path in self._paths.items()
+            }
+            self._handle = Simulation._observed
+        else:
+            self._handle = self._kernel
 
     # -- public inspection / scripting helpers ------------------------
 
@@ -270,93 +306,35 @@ class Simulation:
             self._check_capacity(range(len(self.topo)))
 
     def request(self, fue: int, name: str, now: float) -> None:
-        """Process one consumer request to completion."""
-        self._request(fue, self.catalog.index[name], _plain_time(now))
+        """Process one consumer request to completion.  A ``fue`` that
+        is not a device raises ``ValueError`` and changes nothing."""
+        rank = self.catalog.index[name]
+        now = _plain_time(now)
+        if fue not in self._paths:
+            raise ValueError(f"node {fue!r} is not a device")
+        self._handle(self, fue, rank, now)
 
-    def _request(self, fue: int, rank: int, now: float) -> None:
-        self.seq += 1
-        seq = self.seq
-        self._n += 1
-        path = self._paths[fue]
-        cs = self._cs
-        ratehop = self._is_ratehop
-        forwards = self._forwards
-
-        # Tier 0: the device's own store.
-        if rank in cs[fue]:
-            self._serve(rank, now, seq, path, 0)
-            return
-        if ratehop:
-            self._demand[fue][rank][1] += 1
-        if forwards:
-            self._forward(now, seq, fue, rank)
-
-        # Tier 1: the access point (which may broker a D2D serve).
-        fap = path[1]
-        if ratehop:
-            self._demand[fap][rank][1] += 1
-        if rank in cs[fap]:
-            self._serve(rank, now, seq, path, 1)
-            return
-        group = self._group_of[fue]
-        if group is not None:
-            # The requester's own store is in the group but has missed.
-            for peer_store in group:
-                if rank not in peer_store:
-                    continue
-                if self._is_lru:
-                    peer_store[rank] = peer_store.pop(rank)
-                self._hits[1] += 1
-                if ratehop:
-                    self._demand[fue][rank][0] += 1.0
-                if self._emit is not None:
-                    name = self.catalog.names[rank]
-                    self._emit(_EVENT_LINE % ("interest", name, fap, "d2d",
-                                              seq, now))
-                    self._emit(_EVENT_LINE % ("data", name, fue, "delivered",
-                                              seq, now))
-                if self.cache_d2d_data:
-                    self._cache(fue, rank, 1)
-                if self.debug:
-                    self._consume(fue, rank)
-                    self._check_capacity(path[:2])
-                return
-        if forwards:
-            self._forward(now, seq, fap, rank)
-
-        # Tier 2: the BBU pool.
-        bbu = path[2]
-        if ratehop:
-            self._demand[bbu][rank][1] += 1
-        if rank in cs[bbu]:
-            self._serve(rank, now, seq, path, 2)
-            return
-        if forwards:
-            self._forward(now, seq, bbu, rank)
-
-        # Tier 3: the producer always serves.
-        self._serve(rank, now, seq, path, 3)
-
-    def _request_plain(self, fue: int, rank: int, now: float) -> None:
-        """``_request`` for FIFO and LRU without debug or trace, with
-        ``_serve`` and ``_cache`` inlined: the tiers are asked in the
-        same order and data is offered from the serving node down."""
+    def _request_plain(self, fue: int, rank: int, now: float) -> int:
+        """The FIFO and LRU kernel: serve, count and admit in one flat
+        walk, asking the own store, the F-AP, the D2D group and the BBU
+        in turn, and offering the data to each store below the one that
+        serves it.  Returns the serving tier's slot."""
+        own, own_cap, fap, fap_cap, bbu, bbu_cap, group = self._plain[fue]
         self.seq += 1
         self._n += 1
         hits = self._hits
-        own, own_cap, fap, fap_cap, bbu, bbu_cap, group = self._plain[fue]
         lru = self._is_lru
         if rank in own:
             if lru:
                 own[rank] = own.pop(rank)
             hits[0] += 1
-            return
+            return 0
         if rank in fap:
             if lru:
                 fap[rank] = fap.pop(rank)
             hits[2] += 1
             _offer(own, own_cap, rank, 1)
-            return
+            return 2
         if group is not None:
             for peer_store in group:
                 if rank in peer_store:
@@ -365,7 +343,7 @@ class Simulation:
                     hits[1] += 1
                     if self.cache_d2d_data:
                         _offer(own, own_cap, rank, 1)
-                    return
+                    return 1
         two, three = self._far_weights
         if rank in bbu:
             if lru:
@@ -373,87 +351,117 @@ class Simulation:
             hits[3] += 1
             _offer(fap, fap_cap, rank, 1)
             _offer(own, own_cap, rank, two)
-            return
+            return 3
         hits[4] += 1
         _offer(bbu, bbu_cap, rank, 1)
         _offer(fap, fap_cap, rank, two)
         _offer(own, own_cap, rank, three)
+        return 4
 
-    def _serve(
-        self, rank: int, now: float, seq: int, path: tuple, served_depth: int
-    ) -> None:
-        """Serve a request at path[served_depth]: count its tier, write
-        its interest record, then walk the data down to the consumer,
-        bumping rates and offering the content to each store."""
-        node = path[served_depth]
-        # The producer's store is empty: it has no order to touch.
-        if self._is_lru and served_depth < 3:
-            store = self._cs[node]
-            store[rank] = store.pop(rank)
-        slot, outcome = _SERVED[served_depth]
-        self._hits[slot] += 1
-        emit = self._emit
-        if emit is not None:
-            name = self.catalog.names[rank]
-            emit(_EVENT_LINE % ("interest", name, node, outcome, seq, now))
-        if not served_depth:  # an own-store hit moves no data
-            return
-        ratehop = self._is_ratehop
-        debug = self.debug
-        for j in range(served_depth - 1, -1, -1):
-            node = path[j]
-            if debug:
-                self._consume(node, rank)
-            if ratehop:
-                self._demand[node][rank][0] += 1.0
-            self._cache(node, rank, served_depth - j)
-            if emit is not None:
-                emit(_EVENT_LINE % ("data", name, node, "arrived", seq, now))
-        if debug:
-            self._check_capacity(path[:served_depth + 1])
+    def _request_ratehop(self, fue: int, rank: int, now: float) -> int:
+        """The rate-hop kernel: ``_request_plain``'s walk, where every
+        node the request misses counts it in its window, every node the
+        data passes bumps its rate, and ``_admit`` decides what each
+        store keeps.  Returns the serving tier's slot."""
+        _, fap, bbu, _ = self._paths[fue]
+        self.seq += 1
+        self._n += 1
+        hits = self._hits
+        cs = self._cs
+        demand = self._demand
+        if rank in cs[fue]:
+            hits[0] += 1
+            return 0
+        own_rate = demand[fue][rank]
+        own_rate[1] += 1
+        fap_rate = demand[fap][rank]
+        fap_rate[1] += 1
+        admit = self._admit
+        if rank in cs[fap]:
+            hits[2] += 1
+            own_rate[0] += 1.0
+            admit(fue, rank, 1)
+            return 2
+        group = self._group_of[fue]
+        if group is not None:
+            for peer_store in group:
+                if rank in peer_store:
+                    hits[1] += 1
+                    own_rate[0] += 1.0
+                    if self.cache_d2d_data:
+                        admit(fue, rank, 1)
+                    return 1
+        two, three = self._far_weights
+        bbu_rate = demand[bbu][rank]
+        bbu_rate[1] += 1
+        if rank in cs[bbu]:
+            hits[3] += 1
+            fap_rate[0] += 1.0
+            admit(fap, rank, 1)
+            own_rate[0] += 1.0
+            admit(fue, rank, two)
+            return 3
+        hits[4] += 1
+        bbu_rate[0] += 1.0
+        admit(bbu, rank, 1)
+        fap_rate[0] += 1.0
+        admit(fap, rank, two)
+        own_rate[0] += 1.0
+        admit(fue, rank, three)
+        return 4
 
-    def _forward(self, now: float, seq: int, node: int, rank: int) -> None:
-        """A miss at ``node``: the single-forward check under ``debug``,
-        then the ``forwarded`` record when tracing."""
-        if self.debug:
-            pit = self._pit[node]
-            if rank in pit:
-                raise InvariantViolation(
-                    f"node {node} forwarded {self.catalog.names[rank]} twice "
-                    f"while pending (event {self.seq})"
-                )
-            pit.add(rank)
-        if self._emit is not None:
-            self._emit(_EVENT_LINE % ("interest", self.catalog.names[rank],
-                                      node, "forwarded", seq, now))
-
-    def _cache(self, node: int, rank: int, fetch_hops: int) -> None:
+    def _admit(self, node: int, rank: int, weight: int) -> None:
+        """Offer ``rank``, which the store at ``node`` does not hold, at
+        fetch weight ``weight``: a full store takes it only if its score
+        beats the store's minimum, evicting the first entry at it."""
         cap = self.topo.capacity[node]
         if cap == 0:
             return
         store = self._cs[node]
-        ratehop = self._is_ratehop
-        weight = 1 if self._rate_only else fetch_hops
         if len(store) >= cap:
-            if ratehop:
-                demand = self._demand[node]
-                incoming = demand[rank][0] * weight
-                low = self._min_score[node]
-                if low is None:
-                    low = min(demand[r][0] * w for r, w in store.items())
-                    self._min_score[node] = low
-                if not low < incoming:
-                    return
-                # ``low`` is the exact current minimum of these products.
-                victim = next(
-                    r for r, w in store.items() if demand[r][0] * w == low
-                )
-            else:
-                victim = next(iter(store))
+            demand = self._demand[node]
+            incoming = demand[rank][0] * weight
+            low = self._min_score[node]
+            if low is None:
+                low = min(demand[r][0] * w for r, w in store.items())
+                self._min_score[node] = low
+            if not low < incoming:
+                return
+            # ``low`` is the exact current minimum of these products.
+            victim = next(
+                r for r, w in store.items() if demand[r][0] * w == low
+            )
             del store[victim]
         store[rank] = weight
-        if ratehop:
-            self._min_score[node] = None
+        self._min_score[node] = None
+
+    def _observed(self, fue: int, rank: int, now: float) -> int:
+        """Run the kernel, then the walk its serving tier implies: under
+        ``debug``, open a pending interest at each forwarding node
+        (refusing a second), consume each as the data passes back down
+        and check the stores the data reached; with a trace, write each
+        record."""
+        slot = self._kernel(self, fue, rank, now)
+        records, forwards, reached = self._walks[fue][slot]
+        if self.debug:
+            for node in forwards:
+                pit = self._pit[node]
+                if rank in pit:
+                    raise InvariantViolation(
+                        f"node {node} forwarded {self.catalog.names[rank]} "
+                        f"twice while pending (event {self.seq})"
+                    )
+                pit.add(rank)
+            for node in reversed(forwards):
+                self._consume(node, rank)
+            self._check_capacity(reached)
+        emit = self._emit
+        if emit is not None:
+            name = self.catalog.names[rank]
+            seq = self.seq
+            for kind, node, outcome in records:
+                emit(_EVENT_LINE % (kind, name, node, outcome, seq, now))
+        return slot
 
     # -- debug instrumentation ----------------------------------------
 
@@ -506,7 +514,7 @@ class Simulation:
         tick_no = 1
         next_tick = tau
         index = self.catalog.index
-        request = self._request
+        handle = self._handle
         start = self._n
         last = object()  # no row's time is this object
         for t, fue, name in schedule:
@@ -527,7 +535,7 @@ class Simulation:
                 self.tick(next_tick)
                 tick_no += 1
                 next_tick = tau * tick_no
-            request(fue, index[name], now)
+            handle(self, fue, index[name], now)
         if self.debug:
             self._check_final()
         return self.report()

@@ -164,13 +164,7 @@ def _propagate(walk, placement):
 
 
 def _objective(walk, placement):
-    rates = _propagate(walk, placement)
-    hop = walk[-1]
-    value = 0.0
-    for key, x in placement.items():
-        if x:
-            value += rates.get(key, 0.0) * hop[key[1]]
-    return value
+    return _total(_earnings(walk, placement))
 
 
 def _earnings(walk, placement):

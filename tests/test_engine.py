@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fransim import engine
 from fransim.config import MAX_TICKS_PER_STEP, ScenarioConfig
-from fransim.engine import Simulation, metrics_row, run_single, sweep
+from fransim.engine import (
+    MetricsReport, Simulation, metrics_row, run_single, sweep,
+)
 from fransim.errors import ConfigError, InvariantViolation
 from fransim.policies import (
     MAX_RATE, POLICY_NAMES, PolicyConfig, ScoreRule, refreshed_rate,
@@ -721,6 +725,12 @@ def test_the_trace_explains_every_metric(
 KERNEL_MODES = ("plain", "debug", "traced")
 
 
+def mode_kwargs(mode):
+    """The ``Simulation`` keywords of one of ``KERNEL_MODES``."""
+    kwargs = {"plain": {}, "debug": {"debug": True}, "traced": {"trace": []}}
+    return kwargs[mode]
+
+
 def run_pair(policy, modes=KERNEL_MODES, **kw):
     n_faps = kw.pop("n_faps", 2)
     fues_per_fap = kw.pop("fues_per_fap", [2, 3])
@@ -749,8 +759,7 @@ def run_pair(policy, modes=KERNEL_MODES, **kw):
     ref_report = ref.run_schedule(schedule)
     for mode in modes:
         fast = Simulation(topo, catalog, policy, config,
-                          debug=mode == "debug", cache_d2d_data=cache_d2d,
-                          trace=[] if mode == "traced" else None)
+                          cache_d2d_data=cache_d2d, **mode_kwargs(mode))
         assert fast.run_schedule(schedule) == ref_report, mode
         for node in range(len(topo)):
             assert fast.cs_contents(node) == ref.cs_contents(node), (
@@ -872,32 +881,39 @@ def test_engine_refresh_is_refreshed_rate_bit_for_bit(weights, old, k):
         assert sim.rate_of(node, "c1").hex() == expected, node
 
 
-# -- the plain FIFO/LRU kernel ----------------------------------------------
+# -- the request kernels ----------------------------------------------------
+
+KERNELS = {"fifo": Simulation._request_plain, "lru": Simulation._request_plain,
+           "rate-hop": Simulation._request_ratehop}
+
 
 def test_the_kernel_is_chosen_once_per_run():
+    # The policy picks the kernel; debug or a trace only wraps it in the
+    # observer.  Both are stored as plain functions, not bound methods.
     topo = chain((1, 1, 1))
-
-    def kernel(policy, **kw):
-        return Simulation(topo, Catalog(2), policy, **kw)._request.__func__
-
-    for policy in ("fifo", "lru"):
-        assert kernel(policy) is Simulation._request_plain
-        assert kernel(policy, debug=True) is Simulation._request
-        assert kernel(policy, trace=[]) is Simulation._request
-        assert kernel(policy, trace=print) is Simulation._request
-    assert kernel("rate-hop") is Simulation._request
+    for policy, kernel in KERNELS.items():
+        for kw in ({}, {"debug": True}, {"trace": []}, {"trace": print}):
+            sim = Simulation(topo, Catalog(2), policy, **kw)
+            assert sim._kernel is kernel
+            assert sim._handle is (Simulation._observed if kw else kernel)
 
 
 def kernel_state(sim):
-    """What a run leaves: its report, its event count, and every store
-    as an ordered list of (rank, weight) entries."""
-    return sim.report(), sim.seq, [list(store.items()) for store in sim._cs]
+    """What a run leaves: its report, its event count, every store as an
+    ordered list of (rank, weight) entries, and every node's rate map as
+    an ordered list of (rank, rate, window count) entries."""
+    return (
+        sim.report(), sim.seq,
+        [list(store.items()) for store in sim._cs],
+        [[(rank, *entry) for rank, entry in demand.items()]
+         for demand in sim._demand],
+    )
 
 
 KERNEL_SCENARIOS = dict(
     fues_per_fap=st.lists(st.integers(1, 3), min_size=1, max_size=3),
     caps=st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 2)),
-    policy=st.sampled_from(("fifo", "lru")),
+    policy=st.sampled_from(POLICY_NAMES),
     rule=st.sampled_from(ScoreRule),
     d2d=st.booleans(),
     cache_d2d=st.booleans(),
@@ -907,17 +923,17 @@ KERNEL_SCENARIOS = dict(
 
 def kernel_sims(fues_per_fap, caps, policy, rule, d2d, cache_d2d,
                 catalog_size, tau=100.0):
-    """The plain kernel, then the general one forced by a trace and by
+    """The bare kernel, then the observed one under a trace and under
     ``debug``, on one scenario."""
     topo = build_topology(len(fues_per_fap), fues_per_fap, Capacities(*caps),
                           d2d)
     config = PolicyConfig(tau=tau, score_rule=rule)
     sims = [
         Simulation(topo, Catalog(catalog_size), policy, config,
-                   cache_d2d_data=cache_d2d, **kw)
-        for kw in ({}, {"trace": []}, {"debug": True})
+                   cache_d2d_data=cache_d2d, **mode_kwargs(mode))
+        for mode in ("plain", "traced", "debug")
     ]
-    assert sims[0]._request.__func__ is Simulation._request_plain
+    assert sims[0]._handle is KERNELS[policy]
     return topo, sims
 
 
@@ -929,7 +945,7 @@ def kernel_sims(fues_per_fap, caps, policy, rule, d2d, cache_d2d,
     interests=st.integers(1, 300),
     seed=st.integers(0, 2**16),
 )
-def test_plain_kernel_replays_as_the_general_one(
+def test_observed_runs_replay_as_the_bare_kernel(
     fues_per_fap, caps, policy, rule, d2d, cache_d2d, catalog_size, tau,
     exponent, interests, seed,
 ):
@@ -954,11 +970,11 @@ def test_plain_kernel_replays_as_the_general_one(
         max_size=60,
     ),
 )
-def test_plain_kernel_answers_scripted_calls_as_the_general_one(
+def test_observed_calls_answer_as_the_bare_kernel(
     fues_per_fap, caps, policy, rule, d2d, cache_d2d, catalog_size, steps,
 ):
     # Each step is a tick (None) or a request by one device, both picked
-    # modulo what the scenario has; the kernels agree after every call.
+    # modulo what the scenario has; the three runs agree after every call.
     topo, sims = kernel_sims(fues_per_fap, caps, policy, rule, d2d,
                              cache_d2d, catalog_size)
     fues = topo.fues()
@@ -974,6 +990,34 @@ def test_plain_kernel_answers_scripted_calls_as_the_general_one(
         assert plain == traced == debug
 
 
+@pytest.mark.parametrize("mode", KERNEL_MODES)
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_a_request_from_a_non_device_changes_nothing(policy, mode):
+    topo = chain((1, 1, 1))
+    sim = Simulation(topo, Catalog(2), policy, **mode_kwargs(mode))
+    fap = topo.faps()[0]
+    with pytest.raises(ValueError, match=f"node {fap} is not a device"):
+        sim.request(fap, "c1", 0.0)
+    assert sim.seq == 0
+    assert sim.report() == MetricsReport()
+    assert not any(sim._cs)
+
+
+@pytest.mark.parametrize("mode", KERNEL_MODES)
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_a_simulation_is_freed_without_the_cycle_collector(policy, mode):
+    topo = chain((1, 1, 1))
+    gc.disable()
+    try:
+        sim = Simulation(topo, Catalog(2), policy, **mode_kwargs(mode))
+        sim.run_schedule(repeat_schedule(topo.fues()[0], ["c1", "c2", "c1"]))
+        freed = weakref.ref(sim)
+        del sim
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 # -- debug instrumentation --------------------------------------------------
 
 def debug_sim():
@@ -987,6 +1031,13 @@ def test_debug_detects_capacity_breach():
     sim._cs[topo.bbu()] = {0: None, 1: None}  # capacity is 1
     with pytest.raises(InvariantViolation, match="capacity"):
         sim.tick(1.0)
+
+
+def test_debug_checks_the_stores_a_request_reached():
+    topo, sim = debug_sim()
+    sim._cs[topo.bbu()].update({0: 1, 1: 1})  # capacity is 1
+    with pytest.raises(InvariantViolation, match="capacity"):
+        sim.request(topo.fues()[0], "c3", 0.0)
 
 
 def test_debug_detects_double_forward():
