@@ -76,6 +76,15 @@ def _trace_path(base: str, seed: int, many: bool) -> str:
     return str(path.with_name(f"{path.stem}_seed{seed}{path.suffix}"))
 
 
+def _refuse_config_overwrite(config: str, outputs) -> None:
+    """Refuse any of ``outputs``, (what, path) pairs, that is the
+    config file the command was read from."""
+    source = Path(config).resolve()
+    for what, path in outputs:
+        if Path(path).resolve() == source:
+            raise ConfigError(f"{what} {path} is the config file {config}")
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.output:
@@ -88,6 +97,10 @@ def cmd_run(args) -> int:
             raise ConfigError(
                 f"trace path {path} is the metrics CSV path {cfg.output}"
             )
+    _refuse_config_overwrite(args.config, [
+        ("metrics CSV path", cfg.output),
+        *(("trace path", path) for path in traces.values()),
+    ])
 
     def rows():
         for seed in cfg.seeds:
@@ -139,10 +152,16 @@ def cmd_sweep(args) -> int:
         "both": (False, True), "off": (False,), "on": (True,),
     }[args.d2d]
     chart = Path(cfg.output).name
-    if args.plot and chart in plotting.chart_names(d2d_options):
+    charts = plotting.chart_names(d2d_options) if args.plot else ()
+    if chart in charts:
         raise ConfigError(
             f"--plot chart {chart} is the metrics CSV path {cfg.output}"
         )
+    out_dir = Path(cfg.output).parent
+    _refuse_config_overwrite(args.config, [
+        ("metrics CSV path", cfg.output),
+        *(("--plot chart", out_dir / name) for name in sorted(charts)),
+    ])
     rows = engine.sweep(
         cfg, fue_counts, policies, d2d_options,
         debug=args.debug, n_jobs=args.jobs,
@@ -150,7 +169,6 @@ def cmd_sweep(args) -> int:
     _write_csv(cfg.output, rows)
     print(f"wrote {len(rows)} rows to {cfg.output}")
     if args.plot:
-        out_dir = Path(cfg.output).parent
         for filename, svg in sorted(plotting.sweep_charts(rows).items()):
             target = out_dir / filename
             with _writing(target) as handle:

@@ -17,8 +17,10 @@ the tiers in order, counts the request at the one that serves it,
 offers the data to each store on the way down and returns that tier's
 slot.  Neither writes a trace or checks an invariant.  Under ``debug``
 or a trace, ``_observed`` runs the kernel and then the walk its serving
-tier implies, precomputed per device and tier: it writes each record
-and runs the PIT and capacity checks over them.
+tier implies, precomputed per device and tier: it runs the PIT and
+capacity checks over the walk and, with a trace, fills the walk's
+precomputed template with the content name and one shared seq/time
+tail, so that a request's records cost one format and one write.
 
 For speed the hot path keys all per-node state by integer content
 rank rather than by name and relies on two exact shortcuts: victims
@@ -64,14 +66,14 @@ _SERVING = (
 # byte-identical to ``json.dumps(record, sort_keys=True)``: kinds,
 # outcomes and the catalog's ``c<k>`` names need no escaping, nodes and
 # sequence numbers are ints, and ``%r`` of a finite Python int or float
-# time is its JSON form.
-_EVENT_LINE = (
-    '{"kind": "%s", "name": "%s", "node": %d, "outcome": "%s", "seq": %d, '
-    '"time": %r}\n'
-)
+# time is its JSON form.  A line is its record's fields, then the tail
+# that every record of one event shares.
+_EVENT_FIELDS = '{"kind": "%s", "name": "%s", "node": %d, "outcome": "%s"'
+_EVENT_TAIL = ', "seq": %d, "time": %r}\n'
+_EVENT_LINE = _EVENT_FIELDS + _EVENT_TAIL
 _TICK_LINE = (
-    '{"kind": "tick", "name": null, "node": null, "outcome": "refresh", '
-    '"seq": %d, "time": %r}\n'
+    '{"kind": "tick", "name": null, "node": null, "outcome": "refresh"'
+    + _EVENT_TAIL
 )
 
 
@@ -100,23 +102,29 @@ def _offer(store: dict, cap: int, rank: int, weight: int) -> None:
         store[rank] = weight
 
 
-def _walks(path: tuple, shared: dict) -> tuple:
+def _walks(path: tuple, traced: bool) -> tuple:
     """Per tier slot, what a request from ``path[0]`` served there
-    implies: its trace records as (kind, node, outcome) in order, the
-    nodes below the serving one, each of which forwarded the request
-    and so has it pending until the data passes back down, and the
-    nodes whose stores the data may have reached.  Records are taken
-    from ``shared``, so devices that share an F-AP share its records."""
+    implies: with ``traced``, its trace records as one ``%``-template
+    and their count, each record leaving two ``%s`` holes, for the
+    content name and the shared ``_EVENT_TAIL`` (else None and the
+    count); the nodes below the serving one, each of which forwarded
+    the request and so has it pending until the data passes back down;
+    and the nodes whose stores the data may have reached."""
     walks = []
     for depth, outcome in _SERVING:
         below = path[:depth]
         arrival = "delivered" if outcome == "d2d" else "arrived"
-        records = tuple(shared.setdefault(r, r) for r in (
+        records = (
             [("interest", node, "forwarded") for node in below]
             + [("interest", path[depth], outcome)]
             + [("data", node, arrival) for node in reversed(below)]
-        ))
-        walks.append((records, below, path[:depth + 1] if depth else ()))
+        )
+        template = "".join(
+            _EVENT_FIELDS % (kind, "%s", node, result) + "%s"
+            for kind, node, result in records
+        ) if traced else None
+        walks.append((template, len(records), below,
+                      path[:depth + 1] if depth else ()))
     return tuple(walks)
 
 
@@ -146,13 +154,15 @@ class Simulation:
     content (with D2D on, a group peer's before the BBU's), else by the
     producer, and its data is offered to each store on the way down.
 
-    ``trace``, if given, receives every event record as its finished
-    JSON line, newline included: a list gets each line appended, any
-    other value is called with it.  :meth:`request`, :meth:`tick` and
-    :meth:`run_schedule` take times as Python or numpy ints and floats
-    and write a numpy time as its Python number (``np.int64(3)`` as
-    ``3``, ``np.float64(1.5)`` as ``1.5``); any other time raises
-    ``TypeError``, and a NaN or infinite one ``ValueError``.
+    ``trace``, if given, receives the event records as finished JSON
+    lines, newline included: a list gets each line appended as one
+    entry, any other value is called once per request with all of that
+    request's lines and once per tick with its line.  :meth:`request`,
+    :meth:`tick` and :meth:`run_schedule` take times as Python or numpy
+    ints and floats and write a numpy time as its Python number
+    (``np.int64(3)`` as ``3``, ``np.float64(1.5)`` as ``1.5``); any
+    other time raises ``TypeError``, and a NaN or infinite one
+    ``ValueError``.
     """
 
     def __init__(
@@ -173,10 +183,11 @@ class Simulation:
         self.config = policy_config or PolicyConfig()
         self.debug = debug
         self.cache_d2d_data = cache_d2d_data
-        if trace is None:
-            self._emit = None
+        if isinstance(trace, list):
+            # Not a method of ``self``: that would hold it in a cycle.
+            self._emit = lambda text: trace.extend(text.splitlines(True))
         else:
-            self._emit = trace.append if isinstance(trace, list) else trace
+            self._emit = trace
 
         n = len(topo)
         self._is_lru = policy == "lru"
@@ -239,10 +250,10 @@ class Simulation:
                 for fue, path in self._paths.items()
             }
             self._kernel = Simulation._request_plain
-        if debug or self._emit is not None:
-            shared: dict = {}
+        if debug or trace is not None:
             self._walks = {
-                fue: _walks(path, shared) for fue, path in self._paths.items()
+                fue: _walks(path, trace is not None)
+                for fue, path in self._paths.items()
             }
             self._handle = Simulation._observed
         else:
@@ -439,10 +450,10 @@ class Simulation:
         """Run the kernel, then the walk its serving tier implies: under
         ``debug``, open a pending interest at each forwarding node
         (refusing a second), consume each as the data passes back down
-        and check the stores the data reached; with a trace, write each
-        record."""
+        and check the stores the data reached; with a trace, write the
+        walk's records in one call."""
         slot = self._kernel(self, fue, rank, now)
-        records, forwards, reached = self._walks[fue][slot]
+        template, k, forwards, reached = self._walks[fue][slot]
         if self.debug:
             for node in forwards:
                 pit = self._pit[node]
@@ -455,12 +466,9 @@ class Simulation:
             for node in reversed(forwards):
                 self._consume(node, rank)
             self._check_capacity(reached)
-        emit = self._emit
-        if emit is not None:
-            name = self.catalog.names[rank]
-            seq = self.seq
-            for kind, node, outcome in records:
-                emit(_EVENT_LINE % (kind, name, node, outcome, seq, now))
+        if template is not None:
+            tail = _EVENT_TAIL % (self.seq, now)
+            self._emit(template % ((self.catalog.names[rank], tail) * k))
         return slot
 
     # -- debug instrumentation ----------------------------------------

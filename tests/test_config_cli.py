@@ -582,6 +582,75 @@ def test_run_refuses_a_trace_path_equal_to_the_csv_path(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", "t.yaml"]
 
 
+def refuses_config_overwrite(tmp_path, capsys, argv, cfg, what):
+    """``argv`` exits 2 naming the output ``what`` and the config file,
+    and leaves the config's bytes and the directory as they were."""
+    before = (tmp_path / cfg).read_bytes()
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {what} " in err
+    assert f"is the config file {argv[1]}" in err
+    assert (tmp_path / cfg).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
+@pytest.mark.parametrize("cfg,seeds,trace,csv_path,what", [
+    ("t.yaml", "[0]", None, "t.yaml", "metrics CSV path"),
+    ("t.yaml", "[0]", None, "sub/../t.yaml", "metrics CSV path"),
+    ("t.yaml", "[0]", None, None, "metrics CSV path"),
+    ("t.yaml", "[0]", "t.yaml", "m.csv", "trace path"),
+    ("t_seed1.yaml", "[0, 1]", "t.yaml", "m.csv", "trace path"),
+], ids=["csv", "csv-same-file", "csv-from-config", "trace", "a-seed-trace"])
+def test_run_refuses_to_write_over_its_config(
+    tmp_path, capsys, monkeypatch, cfg, seeds, trace, csv_path, what
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(engine, "run_single", no_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    run = f"seeds: {seeds}"
+    if trace:
+        run += f"\n      trace: true\n      trace_output: {trace}"
+    if csv_path is None:
+        run += f"\n      output: {cfg}"
+    write(tmp_path, cfg, RUN_YAML.replace("seeds: [0, 1]", run))
+    argv = ["run", cfg] + (["--output", csv_path] if csv_path else [])
+    refuses_config_overwrite(tmp_path, capsys, argv, cfg, what)
+
+
+@pytest.mark.parametrize("cfg,argv,what", [
+    ("s.yaml", ["--output", "s.yaml"], "metrics CSV path"),
+    ("s.yaml", ["--output", "sub/../s.yaml", "--plot"], "metrics CSV path"),
+    ("avg_hops_d2d_on.svg", ["--output", "m.csv", "--plot"], "--plot chart"),
+], ids=["csv", "csv-same-file", "chart"])
+def test_sweep_refuses_to_write_over_its_config(
+    tmp_path, capsys, monkeypatch, cfg, argv, what
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(engine, "sweep", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    write(tmp_path, cfg, SWEEP_YAML)
+    argv = ["sweep", cfg, "--fues", "2", "--policies", "fifo"] + argv
+    refuses_config_overwrite(tmp_path, capsys, argv, cfg, what)
+
+
+def test_sweep_without_plot_may_share_a_chart_name_with_its_config(
+    tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "avg_hops_d2d_on.svg", SWEEP_YAML)
+    before = (tmp_path / cfg).read_bytes()
+    assert main(["sweep", cfg, "--fues", "2", "--policies", "fifo",
+                 "--output", "m.csv"]) == EXIT_OK
+    assert (tmp_path / cfg).read_bytes() == before
+
+
 def test_run_rejects_unbuildable_topology(tmp_path, capsys):
     cfg = write(tmp_path, "bad.yaml", """\
         topology:

@@ -648,6 +648,117 @@ def test_one_request_writes_the_records_of_its_serving_tier(serve, policy):
         assert sim.cs_contents(asker) == ({"c1"} if cache_d2d else set())
 
 
+# Each tier slot's records, in ``TIER_KEYS`` order.
+SLOT_RECORDS = [
+    SERVE_RECORDS[serve][1] for serve in ("own", "d2d", "fap", "bbu", "producer")
+]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    fues_per_fap=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    d2d=st.booleans(),
+    k=st.integers(min_value=1),
+    seq=st.integers(),
+    now=TRACE_TIMES,
+)
+def test_walk_templates_fill_to_their_records_lines(
+    fues_per_fap, d2d, k, seq, now
+):
+    # Each walk's template, filled with a name and the shared tail, is
+    # the lines of its records one by one.
+    topo = build_topology(len(fues_per_fap), fues_per_fap,
+                          Capacities(1, 1, 1), d2d)
+    sim = Simulation(topo, Catalog(1), "fifo", trace=[])
+    name = f"c{k}"
+    tail = engine._EVENT_TAIL % (seq, now)
+    for fue in topo.fues():
+        nodes = {"u": fue, "a": topo.parent[fue], "b": topo.bbu(),
+                 "p": topo.producer()}
+        for slot, records in enumerate(SLOT_RECORDS):
+            template, count, _, _ = sim._walks[fue][slot]
+            assert template % ((name, tail) * count) == "".join(
+                engine._EVENT_LINE % (kind, name, nodes[node], outcome, seq,
+                                      now)
+                for kind, node, outcome in records
+            ), (fue, slot)
+
+
+def paper_cell(policy, d2d):
+    """A small cell of the paper's scenario, with refresh ticks."""
+    topo = build_topology(2, [2, 2], Capacities(), d2d)
+    schedule = build_schedule(ZipfSpec(interests_per_fue=100), topo.fues())
+    return topo, schedule, (topo, Catalog(100), policy, PolicyConfig(tau=10))
+
+
+@pytest.mark.parametrize("debug", [False, True], ids=["nodebug", "debug"])
+@pytest.mark.parametrize("d2d", [False, True], ids=["d2d-off", "d2d-on"])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_a_callable_sink_gets_one_call_per_event(policy, d2d, debug):
+    topo, schedule, args = paper_cell(policy, d2d)
+    calls: list[str] = []
+    entries: list[str] = []
+    for sink in (calls.append, entries):
+        sim = Simulation(*args, debug=debug, trace=sink)
+        report = sim.run_schedule(schedule)
+    # One call per request and per tick, each the lines of one event.
+    events = [{json.loads(line)["seq"] for line in call.splitlines()}
+              for call in calls]
+    assert events == [{seq} for seq in range(1, sim.seq + 1)]
+    ticks = [call for call in calls if call.startswith('{"kind": "tick"')]
+    assert len(calls) - len(ticks) == report.total_interests == len(schedule)
+    assert ticks and all(call.count("\n") == 1 for call in ticks)
+    # A list gets the same bytes, one line per entry.
+    assert "".join(calls) == "".join(entries)
+    assert all(entry.count("\n") == 1 and entry.endswith("\n")
+               for entry in entries)
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_a_debug_stop_leaves_the_records_before_the_failing_request(
+    tmp_path, policy
+):
+    topo, schedule, args = paper_cell(policy, True)
+    whole: list[str] = []
+    Simulation(*args, trace=whole).run_schedule(schedule)
+    requests = {}  # seq -> record count, per request in order
+    for line in whole:
+        record = json.loads(line)
+        if record["kind"] != "tick":
+            requests[record["seq"]] = requests.get(record["seq"], 0) + 1
+    assert len(requests) == len(schedule)
+    # The failing row: the first past the middle that is not an own hit,
+    # so the check looks at its device's store, overfilled just before,
+    # and that no tick precedes, since a tick checks every store.
+    seqs = list(requests)
+    fail = next(i for i, count in enumerate(requests.values())
+                if i >= len(schedule) // 2 and count > 1
+                and seqs[i] == seqs[i - 1] + 1)
+    failing_seq = seqs[fail]
+    _, fue, name = schedule[fail]
+
+    def planted(sim):
+        for i, row in enumerate(schedule):
+            if i == fail:
+                extra = [r for r in range(100) if r != sim.catalog.index[name]]
+                sim._cs[fue].update(dict.fromkeys(extra[:3], 1))
+            yield row
+
+    path = tmp_path / "trace.jsonl"
+    with open(path, "w", encoding="utf-8") as handle:
+        sim = Simulation(*args, debug=True, trace=handle.write)
+        with pytest.raises(
+            InvariantViolation,
+            match=rf"capacity exceeded at node {fue} \(event {failing_seq}\)",
+        ):
+            sim.run_schedule(planted(sim))
+    written = path.read_text(encoding="utf-8")
+    first = next(i for i, line in enumerate(whole)
+                 if json.loads(line)["seq"] == failing_seq)
+    assert written == "".join(whole[:first])
+    assert f'"seq": {failing_seq},' not in written
+
+
 def metrics_from_trace(lines, topo) -> dict:
     """Every metrics field of a run, counted from its trace records: the
     outcome of the interest record that serves a request gives its tier,
