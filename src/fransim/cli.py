@@ -29,7 +29,7 @@ from .oracle import (
     verify_linearization,
 )
 from .policies import POLICY_NAMES
-from .topology import Topology
+from .topology import NodeRole, Topology
 # Not called here: perfbench/spans.py patches this name in this module.
 from .workload import build_schedule
 
@@ -60,13 +60,12 @@ def _writing(path: str | Path, newline: str | None = None):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(path: str, rows) -> None:
-    """Write metrics rows, each as soon as ``rows`` yields it."""
-    with _writing(path, newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(_format_row(row))
+def _write_rows(handle, rows) -> None:
+    """Write metrics rows as CSV, each as soon as ``rows`` yields it."""
+    writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(_format_row(row))
 
 
 def _trace_path(base: str, seed: int, many: bool) -> str:
@@ -76,13 +75,19 @@ def _trace_path(base: str, seed: int, many: bool) -> str:
     return str(path.with_name(f"{path.stem}_seed{seed}{path.suffix}"))
 
 
-def _refuse_config_overwrite(config: str, outputs) -> None:
+def _refuse_config_overwrite(config: str, outputs, inputs=()) -> None:
     """Refuse any of ``outputs``, (what, path) pairs, that is the
-    config file the command was read from."""
-    source = Path(config).resolve()
+    config file the command was read from or one of ``inputs``, the
+    (what, path) pairs of the other files it reads."""
+    sources = [
+        (Path(path).resolve(), what, path)
+        for what, path in (("config file", config), *inputs)
+    ]
     for what, path in outputs:
-        if Path(path).resolve() == source:
-            raise ConfigError(f"{what} {path} is the config file {config}")
+        target = Path(path).resolve()
+        for source, noun, name in sources:
+            if target == source:
+                raise ConfigError(f"{what} {path} is the {noun} {name}")
 
 
 def cmd_run(args) -> int:
@@ -113,7 +118,8 @@ def cmd_run(args) -> int:
                 )
             yield engine.metrics_row(cfg, seed, report)
 
-    _write_csv(cfg.output, rows())
+    with _writing(cfg.output, newline="") as handle:
+        _write_rows(handle, rows())
     print(f"wrote {len(cfg.seeds)} rows to {cfg.output}")
     return EXIT_OK
 
@@ -162,11 +168,16 @@ def cmd_sweep(args) -> int:
         ("metrics CSV path", cfg.output),
         *(("--plot chart", out_dir / name) for name in sorted(charts)),
     ])
-    rows = engine.sweep(
-        cfg, fue_counts, policies, d2d_options,
-        debug=args.debug, n_jobs=args.jobs,
-    )
-    _write_csv(cfg.output, rows)
+    # Check the grid, then create the CSV, both before any cell runs:
+    # a bad grid leaves no file, and a CSV path that cannot be written
+    # fails at once rather than after the last cell.
+    engine.grid_groups(cfg, fue_counts, policies, d2d_options)
+    with _writing(cfg.output, newline="") as handle:
+        rows = engine.sweep(
+            cfg, fue_counts, policies, d2d_options,
+            debug=args.debug, n_jobs=args.jobs,
+        )
+        _write_rows(handle, rows)
     print(f"wrote {len(rows)} rows to {cfg.output}")
     if args.plot:
         for filename, svg in sorted(plotting.sweep_charts(rows).items()):
@@ -230,10 +241,22 @@ def load_demand_csv(path: str, topo: Topology) -> DemandSpec:
     return DemandSpec(base)
 
 
+# The outcomes an interest record can have at a node of each role.
+_INTEREST_OUTCOMES = {
+    NodeRole.FUE: ("own-hit", "forwarded"),
+    NodeRole.FAP: ("cs-hit", "d2d", "forwarded"),
+    NodeRole.BBU_POOL: ("cs-hit", "d2d", "forwarded"),
+    NodeRole.PRODUCER: ("origin",),
+}
+
+
 def demand_from_trace(path: str, topo: Topology) -> DemandSpec:
     """Empirical demand: requests issued per (content, device) in an
-    event-trace file written by ``run`` with trace enabled."""
-    fues = set(topo.fues())
+    event-trace file written by ``run`` with trace enabled.
+
+    The trace must come from ``topo``'s tree: an interest record whose
+    node is not in it, or whose outcome does not fit that node's role,
+    is a ``ConfigError`` that names the line and the node."""
     counts: dict[tuple[str, int], float] = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -246,16 +269,28 @@ def demand_from_trace(path: str, topo: Topology) -> DemandSpec:
                     raise ConfigError(
                         f"bad trace {path}, line {number}: not a JSON object"
                     )
-                issued = record.get("outcome") in ("own-hit", "forwarded")
-                if record.get("kind") != "interest" or not issued:
+                if record.get("kind") != "interest":
                     continue
+                where = f"bad trace {path}, line {number}"
                 node, name = record.get("node"), record.get("name")
+                outcome = record.get("outcome")
                 if type(node) is not int or not isinstance(name, str):
                     raise ConfigError(
-                        f"bad trace {path}, line {number}: a request record "
-                        "needs an integer node and a string name"
+                        f"{where}: an interest record needs an integer node "
+                        "and a string name"
                     )
-                if node in fues:
+                if not 0 <= node < len(topo):
+                    raise ConfigError(
+                        f"{where}: node {node} is not in the configured tree"
+                    )
+                role = topo.roles[node]
+                if outcome not in _INTEREST_OUTCOMES[role]:
+                    raise ConfigError(
+                        f"{where}: outcome {outcome!r} cannot occur at node "
+                        f"{node}, which is {topo.labels[node]} in the "
+                        "configured tree"
+                    )
+                if role is NodeRole.FUE:
                     counts[(name, node)] = counts.get((name, node), 0.0) + 1.0
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read trace {path}: {exc}") from exc
@@ -275,11 +310,16 @@ def cmd_oracle(args) -> int:
             "oracle takes --demand or --demand-from-trace, not both"
         )
     if args.demand:
-        demand = load_demand_csv(args.demand, topo)
+        source, read = ("demand table", args.demand), load_demand_csv
     elif args.demand_from_trace:
-        demand = demand_from_trace(args.demand_from_trace, topo)
+        source, read = ("trace", args.demand_from_trace), demand_from_trace
     else:
         raise ConfigError("oracle needs --demand or --demand-from-trace")
+    if args.lp_out:
+        _refuse_config_overwrite(
+            args.config, [("--lp-out path", args.lp_out)], [source]
+        )
+    demand = read(source[1], topo)
     try:
         placement, value = brute_force_optimal(topo, demand)
     except ValueError as exc:  # the demand does not fit the topology

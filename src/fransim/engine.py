@@ -41,12 +41,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import os
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .config import MAX_TICKS_PER_STEP, ScenarioConfig, first_repeat, is_int
 from .errors import ConfigError, InvariantViolation
@@ -81,13 +79,18 @@ def _plain_time(now):
     """``now`` as the Python int or float whose ``%r`` is its JSON form:
     a numpy scalar becomes its Python number, anything else that is not
     exactly an int or a float (a bool included) raises ``TypeError``, and
-    NaN or an infinity, which JSON cannot hold, raises ``ValueError``."""
-    if isinstance(now, np.generic):
-        now = now.item()
+    NaN or an infinity, which JSON cannot hold, raises ``ValueError``.
+    A numpy scalar exists only once numpy is loaded, so numpy is looked
+    up in ``sys.modules``, never imported, and only for a time that is
+    not exactly an int or a float."""
     if type(now) is not int and type(now) is not float:
-        raise TypeError(
-            f"time must be an int or a float, got {type(now).__name__}"
-        )
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(now, np.generic):
+            now = now.item()
+        if type(now) is not int and type(now) is not float:
+            raise TypeError(
+                f"time must be an int or a float, got {type(now).__name__}"
+            )
     if not math.isfinite(now):
         raise ValueError(f"time must be finite, got {now}")
     return now
@@ -162,7 +165,8 @@ class Simulation:
     ints and floats and write a numpy time as its Python number
     (``np.int64(3)`` as ``3``, ``np.float64(1.5)`` as ``1.5``); any
     other time raises ``TypeError``, and a NaN or infinite one
-    ``ValueError``.
+    ``ValueError``.  The engine never imports numpy itself: a run
+    loads it only by building its schedule.
     """
 
     def __init__(
@@ -614,32 +618,22 @@ def _run_group(cells) -> list[dict]:
     ]
 
 
-def sweep(
+def grid_groups(
     cfg: ScenarioConfig,
     fue_counts,
     policies=POLICY_NAMES,
     d2d_options=(False, True),
     *,
     debug: bool = False,
-    n_jobs: int = 1,
-) -> list[dict]:
-    """Run the factorial grid around ``cfg`` and return one metrics row
-    per run.
+) -> list[list[tuple]]:
+    """The cells of the factorial grid around ``cfg``, as (config, seed,
+    debug), grouped by (device count, seed), largest count first.
 
     Each cell is ``cfg`` with its policy, device count (spread evenly
-    over ``cfg``'s access points) and D2D setting replaced, run at each
-    of ``cfg.seeds``.  The grid is checked before any cell runs: an
-    empty axis, a value an axis repeats, a device count that is not an
-    int or is below ``cfg.n_faps``, or an unknown policy raises
-    ``ConfigError``.  The request schedule for a cell depends only on
-    (seed, device count), so every policy and D2D setting sees
-    identical workloads: the cells are grouped by (seed, device count)
-    and each group builds its schedule once.  Groups run largest device
-    count first, one task each; when there are fewer groups than
-    workers, each group is split so that every worker has a task.  Rows
-    come back sorted by (policy, n_fues, d2d, seed) regardless of
-    n_jobs.  The pool never has more workers than cells or CPUs; with
-    one, the grid runs serially in this process.
+    over ``cfg``'s access points) and D2D setting replaced, at one of
+    ``cfg.seeds``.  An empty axis, a value an axis repeats, a device
+    count that is not an int or is below ``cfg.n_faps``, or an unknown
+    policy raises ``ConfigError``.
     """
     grid = tuple(map(tuple, (fue_counts, policies, d2d_options)))
     fue_counts, policies, d2d_options = grid
@@ -657,7 +651,7 @@ def sweep(
             f"device count {min(fue_counts)} cannot cover "
             f"{cfg.n_faps} access points with one device each"
         )
-    groups = [
+    return [
         [
             (
                 replace(
@@ -675,12 +669,39 @@ def sweep(
             itertools.product(fue_counts, cfg.seeds), key=lambda g: -g[0]
         )
     ]
+
+
+def sweep(
+    cfg: ScenarioConfig,
+    fue_counts,
+    policies=POLICY_NAMES,
+    d2d_options=(False, True),
+    *,
+    debug: bool = False,
+    n_jobs: int = 1,
+) -> list[dict]:
+    """Run the factorial grid around ``cfg`` and return one metrics row
+    per run.
+
+    The grid is checked by :func:`grid_groups` before any cell runs.
+    The request schedule for a cell depends only on (seed, device
+    count), so every policy and D2D setting sees identical workloads:
+    each group of cells builds its schedule once.  Groups run largest
+    device count first, one task each; when there are fewer groups than
+    workers, each group is split so that every worker has a task.  Rows
+    come back sorted by (policy, n_fues, d2d, seed) regardless of
+    n_jobs.  The pool never has more workers than cells or CPUs; with
+    one, the grid runs serially in this process and multiprocessing is
+    never imported.
+    """
+    groups = grid_groups(cfg, fue_counts, policies, d2d_options, debug=debug)
     n_cells = len(groups) * len(groups[0])
     n_jobs = min(n_jobs, n_cells, os.cpu_count() or 1)
     if n_jobs > 1:
         # One task per group, unless there are fewer groups than workers.
         parts = min(-(-n_jobs // len(groups)), len(groups[0]))
         tasks = [group[i::parts] for group in groups for i in range(parts)]
+        import multiprocessing  # loaded only when a pool starts
         with multiprocessing.Pool(n_jobs) as pool:
             done = pool.map(_run_group, tasks, chunksize=1)
     else:

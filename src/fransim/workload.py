@@ -4,17 +4,23 @@ Every user device issues interests at a fixed cadence for contents
 drawn from a shared Zipf popularity law over the catalog.  Each device
 samples from its own seeded substream, so draws are independent across
 devices and adding devices never perturbs existing ones.
+
+numpy draws the ranks, and this module imports it only inside the
+functions that draw: numpy loads when the first schedule is built, so
+a command that builds none (``fransim oracle``) never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
 from .topology import Catalog, NodeId
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,7 @@ class ZipfSpec:
 
 def zipf_pmf(exponent: float, catalog_size: int) -> np.ndarray:
     """Probability of each rank 1..K, p(r) proportional to r**-exponent."""
+    import numpy as np
     weights = np.arange(1, catalog_size + 1, dtype=np.float64) ** -float(exponent)
     return weights / weights.sum()
 
@@ -57,6 +64,7 @@ def sample_ranks(
     exponent: float, catalog_size: int, rng: np.random.Generator, count: int
 ) -> np.ndarray:
     """Draw ``count`` ranks in 1..K by inverting the cumulative pmf."""
+    import numpy as np
     cdf = np.cumsum(zipf_pmf(exponent, catalog_size))
     u = rng.random(count)
     ranks = np.searchsorted(cdf, u, side="right") + 1
@@ -65,6 +73,7 @@ def sample_ranks(
 
 def fue_rng(seed: int, fue: NodeId) -> np.random.Generator:
     """The dedicated random substream for one device."""
+    import numpy as np
     return np.random.default_rng([seed, fue])
 
 

@@ -840,6 +840,13 @@ def unwritable_chart(tmp_path):
             "off", "--plot", "--output", out], blocked
 
 
+def unwritable_sweep(tmp_path):
+    missing = tmp_path / "missing" / "m.csv"
+    cfg = write(tmp_path, "s.yaml", SWEEP_YAML)
+    return ["sweep", cfg, "--fues", "2", "--policies", "fifo", "--output",
+            str(missing)], missing
+
+
 def unwritable_program(tmp_path):
     cfg, demand = oracle_setup(tmp_path)
     missing = tmp_path / "missing" / "program.lp"
@@ -848,7 +855,8 @@ def unwritable_program(tmp_path):
 
 
 @pytest.mark.parametrize("setup", [
-    unwritable_run, unwritable_trace, unwritable_chart, unwritable_program,
+    unwritable_run, unwritable_trace, unwritable_chart, unwritable_sweep,
+    unwritable_program,
 ])
 def test_unwritable_output_is_a_config_error(tmp_path, capsys, setup):
     argv, path = setup(tmp_path)
@@ -863,6 +871,18 @@ def test_unwritable_csv_stops_run_before_any_seed(tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "Simulation", no_simulation)
     argv, _ = unwritable_run(tmp_path)
     assert main(argv) == EXIT_CONFIG
+
+
+def test_unwritable_csv_stops_sweep_before_the_grid(
+    tmp_path, capsys, monkeypatch
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the grid ran although the CSV cannot be written")
+
+    monkeypatch.setattr(engine, "sweep", no_sweep)
+    argv, path = unwritable_sweep(tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    assert f"cannot write {path}" in capsys.readouterr().err
 
 
 def test_stopped_run_keeps_the_rows_of_finished_seeds(tmp_path, monkeypatch):
@@ -949,6 +969,38 @@ def test_oracle_rejects_two_demand_sources(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--demand or --demand-from-trace, not both" in captured.err
+
+
+@pytest.mark.parametrize("flag,target,what", [
+    ("--demand", "o.yaml", "config file o.yaml"),
+    ("--demand", "sub/../o.yaml", "config file o.yaml"),
+    ("--demand", "d.csv", "demand table d.csv"),
+    ("--demand-from-trace", "o.yaml", "config file o.yaml"),
+    ("--demand-from-trace", "sub/../t.jsonl", "trace t.jsonl"),
+], ids=["config", "config-same-file", "demand", "trace-config", "trace"])
+def test_oracle_refuses_to_write_its_program_over_an_input(
+    tmp_path, capsys, monkeypatch, flag, target, what
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the oracle solved")
+
+    monkeypatch.setattr(cli, "brute_force_optimal", no_solve)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    write(tmp_path, "o.yaml", ORACLE_YAML)
+    write(tmp_path, "d.csv", "name,fue,rate\nc1,fue1,1\n")
+    write(tmp_path, "t.jsonl", json.dumps(
+        {"kind": "interest", "name": "c1", "node": 4, "outcome": "own-hit"}
+    ) + "\n")
+    source = "d.csv" if flag == "--demand" else "t.jsonl"
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    argv = ["oracle", "o.yaml", flag, source, "--lp-out", target]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --lp-out path {target} is the {what}" in captured.err
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    assert after == before
 
 
 def test_oracle_accepts_numeric_device_ids(tmp_path, capsys):
@@ -1191,6 +1243,86 @@ def test_oracle_runs_on_a_recorded_trace(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("optimal = ")
     assert "@" in out
+
+
+@pytest.mark.parametrize("trace_faps,trace_fues,faps,problem", [
+    # Nodes 6..10 are devices in the trace's tree; this one ends at 5.
+    (3, 2, 2, "line 8: node 6 is not in the configured tree"),
+    # Node 4 is a device in the trace's tree, an F-AP in this one.
+    (2, 2, 3, "line 85: outcome 'own-hit' cannot occur at node 4, which is "
+              "fap3 in the configured tree"),
+], ids=["node-outside", "role-mismatch"])
+def test_oracle_refuses_a_trace_from_another_tree(
+    tmp_path, capsys, trace_faps, trace_fues, faps, problem
+):
+    trace = tmp_path / "events.jsonl"
+    run_cfg = write(tmp_path, "r.yaml", f"""\
+        topology:
+          n_faps: {trace_faps}
+          fues_per_fap: {trace_fues}
+          capacities: {{bbu: 2, fap: 1, fue: 1}}
+        workload:
+          catalog_size: 4
+          interests_per_fue: 30
+        run:
+          seeds: [0]
+          trace: true
+          trace_output: {trace}
+        """)
+    assert main(["run", run_cfg, "--output", str(tmp_path / "m.csv")]) == EXIT_OK
+    capsys.readouterr()
+    cfg = write(tmp_path, "o.yaml", ORACLE_YAML.replace(
+        "n_faps: 2", f"n_faps: {faps}"
+    ))
+    rc = main(["oracle", cfg, "--demand-from-trace", str(trace)])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad trace {trace}, {problem}\n"
+
+
+@pytest.mark.parametrize("node,outcome,label", [
+    (4, "cs-hit", "fue1"), (5, "d2d", "fue2"), (4, "origin", "fue1"),
+    (4, "refresh", "fue1"), (2, "own-hit", "fap1"), (3, "origin", "fap2"),
+    (1, "own-hit", "bbu"), (1, "origin", "bbu"), (0, "forwarded", "producer"),
+    (0, "cs-hit", "producer"), (0, "own-hit", "producer"),
+    (6, "forwarded", None), (-1, "own-hit", None),
+])
+def test_trace_records_must_fit_the_configured_tree(
+    tmp_path, node, outcome, label
+):
+    topo = build_topology(2, [1, 1], Capacities(2, 1, 0))
+    good = {"kind": "interest", "node": 4, "name": "c1", "outcome": "own-hit"}
+    bad = dict(good, node=node, outcome=outcome)
+    path = tmp_path / "trace.jsonl"
+    path.write_text(
+        "".join(json.dumps(r) + "\n" for r in (good, good, bad)),
+        encoding="utf-8",
+    )
+    if label is None:
+        problem = f"node {node} is not in the configured tree"
+    else:
+        problem = (f"outcome {outcome!r} cannot occur at node {node}, which "
+                   f"is {label} in the configured tree")
+    with pytest.raises(ConfigError) as excinfo:
+        demand_from_trace(str(path), topo)
+    assert str(excinfo.value) == f"bad trace {path}, line 3: {problem}"
+
+
+def test_every_outcome_that_fits_its_node_is_read(tmp_path):
+    topo = build_topology(2, [1, 1], Capacities(2, 1, 0))
+    fits = [(4, "own-hit"), (5, "forwarded"), (2, "forwarded"),
+            (3, "cs-hit"), (2, "d2d"), (1, "forwarded"), (1, "cs-hit"),
+            (1, "d2d"), (0, "origin")]
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(
+        json.dumps({"kind": "interest", "node": node, "name": "c1",
+                    "outcome": outcome}) + "\n"
+        for node, outcome in fits
+    ), encoding="utf-8")
+    assert demand_from_trace(str(path), topo) == DemandSpec(
+        {("c1", 4): 1.0, ("c1", 5): 1.0}
+    )
 
 
 def test_broken_trace_is_a_config_error(tmp_path):

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import multiprocessing
 import sys
 import weakref
 from dataclasses import replace
@@ -508,7 +509,7 @@ def fake_pool(monkeypatch, cpus):
             tasks.extend(items)
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(engine.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
     return started, tasks
 
