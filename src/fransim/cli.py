@@ -256,7 +256,8 @@ def demand_from_trace(path: str, topo: Topology) -> DemandSpec:
 
     The trace must come from ``topo``'s tree: an interest record whose
     node is not in it, or whose outcome does not fit that node's role,
-    is a ``ConfigError`` that names the line and the node."""
+    is a ``ConfigError`` that names the line and the node, as is a
+    device's request for a blank content name."""
     counts: dict[tuple[str, int], float] = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -291,6 +292,11 @@ def demand_from_trace(path: str, topo: Topology) -> DemandSpec:
                         "configured tree"
                     )
                 if role is NodeRole.FUE:
+                    if (name, node) not in counts:
+                        try:
+                            check_row(name, node, 0.0, topo)
+                        except ValueError as exc:
+                            raise ConfigError(f"{where}: {exc}") from None
                     counts[(name, node)] = counts.get((name, node), 0.0) + 1.0
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read trace {path}: {exc}") from exc

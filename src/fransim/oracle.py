@@ -7,19 +7,18 @@ sees the requests its subtree could not satisfy, each hop applying a
 demand reaching it weighted by the node's hop distance from the core,
 so popular content placed far from the core scores highest.
 
-This module provides the placement evaluator, an exhaustive optimal
-search for small instances, and a zero-one linearization of the
-polynomial objective together with an exhaustive verifier that the
-linearization is exact.  The search skips device stores, where a copy
-never pays.  The verifier works content by content: the objective is a
-sum over contents and only the capacity rows couple them, so it
-tabulates each content's assignments once and combines the tables over
-store loads.  Placements are plain ``{(name, node): 0|1}`` maps;
-missing keys mean 0.
+This module provides the placement evaluator, an exact solver for
+small instances, and a zero-one linearization of the objective with an
+exhaustive verifier that it is exact.  The objective sums over
+contents, coupled only by store capacities, so solver and verifier
+tabulate each content's best per load on the binding stores and walk
+the contents keeping the best per load vector, a multiple-choice
+knapsack.  Placements are ``{(name, node): 0|1}``; missing keys mean 0.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -61,8 +60,10 @@ class DemandSpec:
 
 
 def check_row(name: str, node: NodeId, rate: float, topo: Topology) -> None:
-    """Raise ``ValueError`` unless ``node`` is a device of ``topo`` and
-    ``rate`` is finite and non-negative."""
+    """Raise ``ValueError`` unless ``name`` is not blank, ``node`` is a
+    device of ``topo`` and ``rate`` is finite and non-negative."""
+    if not name.strip():
+        raise ValueError(f"demand at node {node} has an empty content name")
     if not 0 <= node < len(topo):
         raise ValueError(
             f"demand for {name!r} at node {node}, which is not in "
@@ -178,62 +179,89 @@ def _earnings(walk, placement):
     ]
 
 
-def _guard(topo: Topology, contents: list[str]) -> list[NodeId]:
-    nodes = [n for n in caching_nodes(topo) if topo.capacity[n] > 0]
-    size = len(contents) * len(nodes)
-    if size > ENUMERATION_LIMIT:
-        raise InstanceTooLarge(
-            f"{len(contents)} contents x {len(nodes)} caching nodes = "
-            f"{size} binary variables exceeds the exhaustive-search "
-            f"limit of {ENUMERATION_LIMIT}"
-        )
-    return nodes
-
-
 def brute_force_optimal(
     topo: Topology, demand: DemandSpec
 ) -> tuple[Placement, float]:
-    """Enumerate every feasible placement without device copies and
-    return a maximizer.
+    """Return a maximizer over every feasible placement without device
+    copies, found by one walk over the contents.
 
     Ties go to the lexicographically smallest assignment vector, with
     variables ordered by (content, node id), so the result is unique.
-    That maximizer holds no device copy: a device copy earns its
-    device's demand thinned by itself, which is 0, and it only thins
-    the rates above it.  Rates and hop weights are non-negative and
-    IEEE ``+`` and ``*`` are monotone, so dropping the copy never
-    lowers the value, and it makes the vector smaller.  The guard
-    still counts device stores with room.
+    It holds no device copy: a device copy earns its device's demand
+    thinned by itself, 0, and only thins the rates above it, so as
+    IEEE ``+`` and ``*`` are monotone, dropping it never lowers the
+    value, and it makes the vector smaller.  The guard still counts
+    device stores with room.
+
+    An entry is (value, -code, earnings), the code reading the vector
+    as one integer.  Given its BBU bit x_b, a content is worth
+    x_b h_b R + sum_f x_f r_f (h_f - x_b h_b), so each access point's
+    bit counts on its own.  Unless all sums are exact, an entry keeps
+    each candidate within ``slack`` of its best, one per node-major
+    sequence of nonzero earnings; ``_objective`` ranks the finalists.
     """
     walk = _tree_walk(topo, demand)
-    contents = walk[0]
-    nodes = _guard(topo, contents)
-    per_node_choices = []
-    for node in nodes:
-        if topo.roles[node] is NodeRole.FUE:
-            continue
-        cap = min(topo.capacity[node], len(contents))
-        keys = [(name, node) for name in contents]
-        subsets = []
-        for size in range(cap + 1):
-            subsets.extend(itertools.combinations(keys, size))
-        per_node_choices.append(subsets)
-    order = [(name, node) for name in contents for node in nodes]
+    contents, base, _, faps, bbu, hop = walk
+    nodes = [n for n in caching_nodes(topo) if topo.capacity[n] > 0]
+    if len(contents) * len(nodes) > ENUMERATION_LIMIT:
+        raise InstanceTooLarge(
+            f"{len(contents)} contents x {len(nodes)} caching nodes = "
+            f"{len(contents) * len(nodes)} binary variables exceeds the "
+            f"exhaustive-search limit of {ENUMERATION_LIMIT}"
+        )
+    binding = [n for n in nodes if topo.capacity[n] < len(contents)
+               and topo.roles[n] is not NodeRole.FUE]
+    caps = [topo.capacity[n] for n in binding]
+    load = {n: tuple(int(n == b) for b in binding) for n in nodes}
+    zero, nil = (0,) * len(binding), [(0.0, 0, ())]
+    code = {(name, n): 1 << (len(contents) - i) * len(nodes) - 1 - j
+            for j, n in enumerate(nodes) for i, name in enumerate(contents)}
+    # No value or partial sum here or in _objective exceeds `most`.
+    most = (hop[bbu] + max(hop)) * _total(base.values())
+    grid = max([1] + [float(r).as_integer_ratio()[1] for r in base.values()])
+    slack = 0.0 if grid <= 2 ** 52 / max(most, 1.0) else (
+        most * 2.0 ** -48 * len(topo) * (len(contents) + 2))
 
-    best_value = -1.0
-    best_vec: tuple[int, ...] | None = None
-    best_placement: Placement = {}
-    for combo in itertools.product(*per_node_choices):
-        placement = dict.fromkeys(itertools.chain.from_iterable(combo), 1)
-        value = _objective(walk, placement)
-        if value < best_value:
-            continue
-        vec = tuple([placement.get(key, 0) for key in order])
-        if value > best_value or (value == best_value and vec < best_vec):
-            best_value = value
-            best_vec = vec
-            best_placement = placement
-    return best_placement, best_value
+    def pick(a, b):  # per earnings sequence, the least vector near the top
+        top, kept = max(a + b), {}
+        for c in a + b if slack else [top]:
+            if c[0] >= top[0] - slack and c[1] >= kept.get(c[2], c)[1]:
+                kept[c[2]] = c
+        return list(kept.values())
+
+    def join(a, b):
+        return pick([(va + vb, na + nb, tuple(sorted(sa + sb, key=by_node)))
+                     for va, na, sa in a for vb, nb, sb in b], [])
+
+    by_node, tables = operator.itemgetter(0), [{zero: nil}]
+    flow = _propagate(walk, {})  # each store's demand with no copies
+    for name in contents:
+        rates = [flow[(name, fap)] for fap, _ in faps]
+        both = []  # the entries of both BBU bits, picked per load below
+        for xb in range(1 + ((name, bbu) in code)):
+            lost = xb * hop[bbu]
+            states = {load[bbu] if xb else zero: [(
+                lost * flow[(name, bbu)], -xb * code.get((name, bbu), 0), ())]}
+            for (fap, _), rate in zip(faps, rates):
+                if (name, fap) in code:
+                    gain = [(rate * (hop[fap] - lost), -code[(name, fap)],
+                             ((fap, rate * hop[fap]),) * bool(slack and rate))]
+                    states = _grow(states, [(zero, nil), (load[fap], gain)],
+                                   caps, join, pick)
+            for key, entry in states.items():
+                for value, neg, seq in entry:  # the BBU earns what is left
+                    up = xb and hop[bbu] * _total(
+                        [r for (f, _), r in zip(faps, rates)
+                         if not -neg & code.get((name, f), 0)])
+                    seq = ((bbu, up),) * bool(slack and up) + seq
+                    both.append((key, [(value, neg, seq)]))
+        tables.append(_grow({zero: nil}, both, caps, join, pick))
+
+    value, _, placement = max(
+        (_objective(walk, p), neg, p)
+        for _, neg, _ in _best_feasible(tables, caps, nil, join, pick)
+        for p in [{key: 1 for key, bit in code.items() if -neg & bit}])
+    return placement, value
 
 
 # -- zero-one linearization -------------------------------------------
@@ -439,12 +467,8 @@ def _index_program(program: LinearizedProgram):
 
 # Relative tolerance of every comparison the verifier makes.
 _TOL = 1e-9
-# The most local assignments of one content, or load states, that the
-# content-wise verifier keeps; past it the scan runs.  Programs of two
-# or more contents that ``_expand`` writes within the guard need at
-# most 2^12 assignments (two contents over twelve stores) and 3^8 =
-# 6,561 states (three over eight); one content over more than 16
-# stores takes the scan.
+# The most local assignments of one content that the content-wise
+# verifier tabulates; one content over more than 16 stores is scanned.
 _STATE_LIMIT = 2 ** 16
 
 
@@ -472,15 +496,6 @@ def verify_linearization(
     task = _verification(topo, demand, program)
     report = _verify_by_content(*task)
     return report if report is not None else _scan(*task)
-
-
-def _scan_linearization(
-    topo: Topology,
-    demand: DemandSpec,
-    program: LinearizedProgram | None = None,
-) -> VerificationReport:
-    """``verify_linearization`` by the assignment-by-assignment scan."""
-    return _scan(*_verification(topo, demand, program))
 
 
 def _verification(topo, demand, program):
@@ -636,10 +651,9 @@ def _verify_by_content(
     binding = [(cap, idx) for cap, idx in stores if cap < len(idx)]
     tables, sizes, grid = [], [], 1
     for where, own in local:
-        if 2 ** len(where) > _STATE_LIMIT:
-            return None
-        tabulated = _tabulate(walk, keys, where, own, binding)
-        if tabulated is None:
+        tabulated = (2 ** len(where) <= _STATE_LIMIT
+                     and _tabulate(walk, keys, where, own, binding))
+        if not tabulated:
             return None
         table, size, finest = tabulated
         tables.append(table)
@@ -655,10 +669,8 @@ def _verify_by_content(
     tol = _TOL * (1 - 1e-6)  # room for the rounding of these checks
     if not gap + slack * (pinned + direct) <= tol:
         return None
-    best = _best_feasible(tables, [cap for cap, _ in binding])
-    if best is None:
-        return None
-    best_direct, best_linear = best
+    best_direct, best_linear = _best_feasible(
+        tables, [cap for cap, _ in binding])
     miss = abs(best_linear - best_direct) + slack * (free + direct)
     if not miss <= tol * max(1.0, abs(best_direct) - slack * direct):
         return None
@@ -752,51 +764,39 @@ def _tabulate(walk, keys, where, terms, binding):
     return table, (gap, pinned_most, direct_most, free_most), grid
 
 
-def _best_feasible(tables, caps):
-    """The best direct and free values over the assignments that fit
-    every binding store, walking the contents and keeping the best of
-    each load vector within ``caps``; None past the state limit."""
-    states = {(0,) * len(caps): (0.0, 0.0)}
+def _grow(states, steps, caps, join, pick):
+    """Every state joined with every (loads, entry) step within ``caps``,
+    keeping the ``pick`` of the entries that reach one load vector."""
+    grown = {}
+    for key, entry in states.items():
+        for step, more in steps:
+            loads = tuple(map(operator.add, key, step))
+            if any(map(operator.gt, loads, caps)):
+                continue
+            new = join(entry, more)
+            grown[loads] = pick(grown[loads], new) if loads in grown else new
+    return grown
+
+
+def _best_feasible(tables, caps, unit=(0.0, 0.0),
+                   join=lambda a, b: (a[0] + b[0], a[1] + b[1]),
+                   pick=lambda a, b: (max(a[0], b[0]), max(a[1], b[1]))):
+    """The ``pick`` over every choice of one entry per table whose loads
+    fit ``caps``, combined by ``join``, walking from ``unit`` at no load
+    and keeping one entry per load vector; by default, the verifier's."""
+    states = {(0,) * len(caps): unit}
     for table in tables[:-1]:
-        grown: dict[tuple[int, ...], tuple[float, float]] = {}
-        for key, (direct, linear) in states.items():
-            for step, (d, f) in table.items():
-                loads = tuple(map(operator.add, key, step))
-                if any(map(operator.gt, loads, caps)):
-                    continue
-                best = grown.get(loads)
-                if best is None:
-                    if len(grown) == _STATE_LIMIT:
-                        return None
-                    grown[loads] = (direct + d, linear + f)
-                else:
-                    grown[loads] = (
-                        max(best[0], direct + d), max(best[1], linear + f)
-                    )
-        states = grown
-    # The last content joins by lookup: for each room left, the best
-    # values over the last table's loads that fit in it.
-    last = tables[-1]
-    top = [max(col) for col in zip(*last)]
-    fits = _dominated_best(last, top)
-    best_direct = best_linear = -math.inf
-    for key, (direct, linear) in states.items():
-        room = tuple(map(min, map(operator.sub, caps, key), top))
-        d, f = fits[room]
-        best_direct = max(best_direct, direct + d)
-        best_linear = max(best_linear, linear + f)
-    return best_direct, best_linear
-
-
-def _dominated_best(table, top):
-    """For every load vector up to ``top``, the best direct and free
-    values over the table's keys at or below it, coordinate by
-    coordinate: a running maximum along each axis in turn."""
-    points = list(itertools.product(*(range(t + 1) for t in top)))
-    best = {b: table.get(b, (-math.inf, -math.inf)) for b in points}
-    for j in range(len(top)):
-        for b in points:  # in product order, b's lower neighbour is done
-            if b[j]:
-                here, below = best[b], best[b[:j] + (b[j] - 1,) + b[j + 1:]]
-                best[b] = (max(here[0], below[0]), max(here[1], below[1]))
-    return best
+        states = _grow(states, table.items(), caps, join, pick)
+    # The last table joins by lookup: per room left, the pick of its
+    # entries that fit, a running best along each axis in turn.
+    fits = dict(tables[-1])
+    top = [max(col) for col in zip(*fits)]
+    for j in range(len(top)):  # in product order, b's lower neighbour is done
+        for b in itertools.product(*(range(t + 1) for t in top)):
+            below = fits.get(b[:j] + (b[j] - 1,) + b[j + 1:]) if b[j] else None
+            if below is not None:
+                fits[b] = pick(fits[b], below) if b in fits else below
+    return functools.reduce(pick, [
+        join(entry, fits[tuple(map(min, map(operator.sub, caps, key), top))])
+        for key, entry in states.items()
+    ])

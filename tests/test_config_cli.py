@@ -1177,6 +1177,35 @@ def test_demand_table_device_errors_name_the_line(tmp_path, capsys, device,
     assert cause in err
 
 
+@pytest.mark.parametrize("name", ["", "   "], ids=["empty", "blank"])
+def test_demand_table_refuses_a_blank_content_name(tmp_path, capsys, name):
+    cfg, _ = oracle_setup(tmp_path)
+    demand = write(tmp_path, "d.csv",
+                   f"name,fue,rate\nc1,fue1,1\n{name},fue1,3\n")
+    assert main(["oracle", cfg, "--demand", demand]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"bad demand table {demand}, line 3: demand at node 4 has an "
+            "empty content name") in captured.err
+
+
+@pytest.mark.parametrize("name", ["", " \t"], ids=["empty", "blank"])
+def test_trace_refuses_a_blank_content_name(tmp_path, capsys, name):
+    cfg, _ = oracle_setup(tmp_path)
+    records = [
+        {"kind": "interest", "node": 4, "name": "c1", "outcome": "forwarded"},
+        {"kind": "interest", "node": 3, "name": name, "outcome": "cs-hit"},
+        {"kind": "interest", "node": 4, "name": name, "outcome": "forwarded"},
+    ]
+    trace = write(tmp_path, "t.jsonl",
+                  "\n".join(json.dumps(r) for r in records) + "\n")
+    assert main(["oracle", cfg, "--demand-from-trace", trace]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"bad trace {trace}, line 3: demand at node 4 has an empty "
+            "content name") in captured.err
+
+
 def test_demand_csv_schema_is_strict(tmp_path):
     topo = build_topology(2, [1, 1], Capacities(2, 1, 0))
     bad = write(tmp_path, "d.csv", "name,device,rate\nc1,fue1,1\n")

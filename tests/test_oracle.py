@@ -20,7 +20,9 @@ from fransim.oracle import (
     propagate_rates,
     verify_linearization,
 )
-from fransim.topology import Capacities, build_topology
+from fransim.topology import Capacities, NodeRole, build_topology
+
+from _oracle_reference import subset_search
 
 
 @pytest.fixture
@@ -55,6 +57,16 @@ def test_demand_whose_sums_overflow_is_rejected():
     # A total just inside the float range still evaluates finitely.
     demand = DemandSpec({("c1", u1): 1e307, ("c1", u2): 1e307})
     assert math.isfinite(brute_force_optimal(topo, demand)[1])
+
+
+@pytest.mark.parametrize("name", ["", "  "])
+def test_demand_needs_a_content_name(two_fap_topo, name):
+    u1 = two_fap_topo.fues()[0]
+    bad = DemandSpec({(name, u1): 1.0})
+    with pytest.raises(ValueError, match="empty content name"):
+        bad.validate(two_fap_topo)
+    with pytest.raises(ValueError, match="empty content name"):
+        brute_force_optimal(two_fap_topo, bad)
 
 
 def test_demand_rates_must_be_nonnegative(two_fap_topo):
@@ -275,6 +287,152 @@ def test_brute_force_matches_a_naive_search(instance):
     placement, value = brute_force_optimal(topo, demand)
     assert value == best[0]
     assert placement == best[1]
+
+
+# Rate families for the solver property: dyadic rates sum exactly;
+# k/7 and k/10 do not, and their small pools make near-ties common.
+RATE_FAMILIES = [
+    st.integers(0, 640).map(lambda k: k / 64),
+    st.integers(0, 14).map(lambda k: k / 7),
+    st.integers(0, 20).map(lambda k: k / 10),
+    st.floats(0, 1e4),
+]
+
+
+def subset_search_size(topo, k):
+    """Placements the reference enumerates for k contents."""
+    size = 1
+    for node in caching_nodes(topo):
+        if topo.roles[node] is not NodeRole.FUE:
+            size *= sum(math.comb(k, s)
+                        for s in range(min(topo.capacity[node], k) + 1))
+    return size
+
+
+@st.composite
+def solver_instances(draw):
+    """A tree of 1-3 F-APs x 1-3 devices with capacities 0-3 and demand
+    for 1-5 contents within the guard, from one rate family.  The
+    content count is lowered until the reference's search stays small."""
+    faps = draw(st.integers(1, 3))
+    topo = build_topology(
+        faps,
+        draw(st.lists(st.integers(1, 3), min_size=faps, max_size=faps)),
+        Capacities(*draw(st.lists(st.integers(0, 3), min_size=3, max_size=3))),
+    )
+    stores = sum(1 for n in caching_nodes(topo) if topo.capacity[n] > 0)
+    k = draw(st.integers(1, 5))
+    while k > 1 and (k * stores > oracle.ENUMERATION_LIMIT
+                     or subset_search_size(topo, k) > 4096):
+        k -= 1
+    rates = draw(st.sampled_from(RATE_FAMILIES))
+    demand = {}
+    for c in range(1, k + 1):
+        for fue in topo.fues():
+            rate = draw(st.none() | rates)
+            if rate is not None:
+                demand[(f"c{c}", fue)] = rate
+    return topo, DemandSpec(demand)
+
+
+@settings(max_examples=200, deadline=None)
+@given(solver_instances())
+def test_solver_matches_the_subset_search(instance):
+    topo, demand = instance
+    placement, value = brute_force_optimal(topo, demand)
+    expected, best = subset_search(topo, demand)
+    assert list(placement.items()) == list(expected.items())
+    assert repr(value) == repr(best)
+
+
+def counted(monkeypatch, names, cap):
+    """Patch each named oracle function to count its calls in the list
+    returned, raising once they pass ``cap`` together."""
+    calls = [0]
+    for name in names:
+        def counting(*args, _real=getattr(oracle, name)):
+            calls[0] += 1
+            if calls[0] > cap:
+                raise AssertionError(f"more than {cap} evaluator calls")
+            return _real(*args)
+        monkeypatch.setattr(oracle, name, counting)
+    return calls
+
+
+def worst_shapes(rate):
+    """The guard's worst shapes, each as (topology, demand, the optimal
+    placement that its demand makes plain)."""
+    # 12 contents at the BBU and one F-AP, devices without room: every
+    # content goes to the F-AP, where it earns twice its rate.
+    topo = build_topology(1, [1], Capacities(bbu=12, fap=12, fue=0))
+    (a,), (u,) = topo.faps(), topo.fues()
+    demand = {(f"c{c:02d}", u): rate(c) for c in range(1, 13)}
+    yield topo, demand, {(name, a): 1 for name, _ in demand}
+    # One content over the BBU and 23 F-APs: every F-AP takes it, and a
+    # BBU copy would add nothing.
+    topo = build_topology(23, [1] * 23, Capacities(bbu=1, fap=1, fue=0))
+    demand = {("c1", u): rate(k) for k, u in enumerate(topo.fues(), 1)}
+    yield topo, demand, {("c1", a): 1 for a in topo.faps()}
+    # Two contents over the BBU and 11 F-APs, room for one everywhere:
+    # c1 wins the first 6 F-APs and c2 the other 5, and the BBU takes
+    # c2, whose demand left for it (rates 1-6) beats c1's (rates 1-5).
+    topo = build_topology(11, [1] * 11, Capacities(bbu=1, fap=1, fue=0))
+    demand = {}
+    for k, u in enumerate(topo.fues()):
+        demand[("c1", u)] = rate(12 + k if k < 6 else k - 5)
+        demand[("c2", u)] = rate(6 - k if k < 6 else 12 + k)
+    placement = {("c2", topo.bbu()): 1}
+    for k, a in enumerate(topo.faps()):
+        placement[("c1" if k < 6 else "c2", a)] = 1
+    yield topo, demand, placement
+
+
+WORST_SHAPES = ["12-contents", "24-stores", "2x12-stores"]
+RATE_KINDS = {"integer": float, "tenths": lambda k: k / 10}
+
+
+@pytest.mark.parametrize("shape", range(3), ids=WORST_SHAPES)
+@pytest.mark.parametrize("rate", RATE_KINDS.values(), ids=RATE_KINDS)
+def test_the_worst_shapes_take_few_evaluations(monkeypatch, shape, rate):
+    # The subset search evaluated 4^12, 2^24 and 3^12 placements here.
+    topo, rates, expected = list(worst_shapes(rate))[shape]
+    demand = DemandSpec(rates)
+    value = objective_value(topo, demand, expected)
+    calls = counted(monkeypatch, ["_objective", "_earnings"], 2 * 2 ** 12)
+    placement, best = brute_force_optimal(topo, demand)
+    assert 0 < calls[0] <= 2 * 2 ** 12
+    assert sorted(placement) == sorted(expected)
+    assert best == pytest.approx(value, rel=1e-12)
+
+
+def test_rates_near_the_float_limit_keep_few_finalists(monkeypatch):
+    # Floats this large are integers but their sums round, so the walk
+    # keeps candidates within a slack, which must itself stay finite.
+    topo = build_topology(1, [1], Capacities(bbu=6, fap=6, fue=0))
+    (a,), (u,) = topo.faps(), topo.fues()
+    demand = DemandSpec({(f"c{c:02d}", u): c * 3.1e305 for c in range(1, 13)})
+    calls = counted(monkeypatch, ["_objective", "_earnings"], 2 * 2 ** 12)
+    placement, best = brute_force_optimal(topo, demand)
+    assert calls[0] <= 2 * 2 ** 12
+    assert math.isfinite(best)
+    assert sorted(placement) == sorted(
+        [(f"c{c:02d}", a) for c in range(7, 13)]
+        + [(f"c{c:02d}", topo.bbu()) for c in range(1, 7)])
+
+
+@pytest.mark.parametrize("shape", range(3), ids=WORST_SHAPES)
+def test_the_worst_shapes_take_few_walk_steps(monkeypatch, shape):
+    topo, rates, _ = list(worst_shapes(float))[shape]
+    real, steps = oracle._grow, [0]
+
+    def grow(states, moves, *rest):
+        moves = list(moves)
+        steps[0] += len(states) * len(moves)
+        return real(states, moves, *rest)
+
+    monkeypatch.setattr(oracle, "_grow", grow)
+    brute_force_optimal(topo, DemandSpec(rates))
+    assert steps[0] <= 2 ** 16
 
 
 def random_feasible_placement(rng, topo, contents):
@@ -902,7 +1060,7 @@ def test_content_wise_verifier_reports_what_the_scan_reports(instance):
             continue  # keeps the scan's 2^n within a test's time
         for kind, variant in program_mutations(prog).items():
             fast = verify_linearization(topo, demand, variant)
-            scan = oracle._scan_linearization(topo, demand, variant)
+            scan = oracle._scan(*oracle._verification(topo, demand, variant))
             assert (fast.ok, fast.checked, fast.message,
                     fast.counterexample) == (scan.ok, scan.checked,
                                              scan.message,
