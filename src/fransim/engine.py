@@ -25,7 +25,8 @@ tail, so that a request's records cost one format and one write.
 For speed the hot path keys all per-node state by integer content
 rank rather than by name and relies on two exact shortcuts: victims
 are taken from dict order, and the selective policy caches each
-store's minimum entry score so the common reject decision is O(1).
+store's minimum entry score so the common reject decision is O(1)
+and made in the kernel, without a call.
 Only LRU reorders a store on a hit, so FIFO and rate-hop stores keep
 insertion order: FIFO and LRU evict the first entry, and rate-hop the
 first (so oldest) entry whose score is the minimum.
@@ -165,8 +166,7 @@ class Simulation:
     ints and floats and write a numpy time as its Python number
     (``np.int64(3)`` as ``3``, ``np.float64(1.5)`` as ``1.5``); any
     other time raises ``TypeError``, and a NaN or infinite one
-    ``ValueError``.  The engine never imports numpy itself: a run
-    loads it only by building its schedule.
+    ``ValueError``.  The engine never imports numpy.
     """
 
     def __init__(
@@ -235,23 +235,35 @@ class Simulation:
         self._n = 0
         self._hits = [0] * len(TIER_KEYS)  # one count per tier, in order
 
+        # Per device, for its kernel: its own, F-AP and BBU stores, and
+        # its D2D group; for FIFO and LRU each store's capacity, for
+        # rate-hop each node's demand map and the upper nodes' ids.
+        cs = self._cs
         # The kernels are kept as plain functions, not bound methods: a
         # bound method on the instance would hold it in a reference
         # cycle that only the cycle collector frees.
         if self._is_ratehop:
-            self._kernel = Simulation._request_ratehop
-        else:
-            # Per device: its own, F-AP and BBU stores and capacities,
-            # and its D2D group.
-            capacity = topo.capacity
-            self._plain = {
+            demand = self._demand
+            self._table = {
                 fue: (
-                    self._cs[fue], capacity[fue],
-                    self._cs[path[1]], capacity[path[1]],
-                    self._cs[path[2]], capacity[path[2]],
+                    cs[fue], demand[fue],
+                    fap, cs[fap], demand[fap],
+                    bbu, cs[bbu], demand[bbu],
                     self._group_of[fue],
                 )
-                for fue, path in self._paths.items()
+                for fue, (_, fap, bbu, _) in self._paths.items()
+            }
+            self._kernel = Simulation._request_ratehop
+        else:
+            capacity = topo.capacity
+            self._table = {
+                fue: (
+                    cs[fue], capacity[fue],
+                    cs[fap], capacity[fap],
+                    cs[bbu], capacity[bbu],
+                    self._group_of[fue],
+                )
+                for fue, (_, fap, bbu, _) in self._paths.items()
             }
             self._kernel = Simulation._request_plain
         if debug or trace is not None:
@@ -307,14 +319,16 @@ class Simulation:
         """Refresh every node's demand estimates (window -> smoothed)."""
         now = _plain_time(now)
         self.seq += 1
-        alpha = self.config.alpha
-        beta = self.config.beta
-        denom = alpha + beta
-        for demand in self._demand:
-            for entry in demand.values():
-                entry[0] = (alpha * entry[1] + beta * entry[0]) / denom
-                entry[1] = 0
-        self._min_score = [None] * len(self._demand)
+        # Only rate-hop keeps demand: FIFO and LRU maps stay empty.
+        if self._is_ratehop:
+            alpha = self.config.alpha
+            beta = self.config.beta
+            denom = alpha + beta
+            for demand in self._demand:
+                for entry in demand.values():
+                    entry[0] = (alpha * entry[1] + beta * entry[0]) / denom
+                    entry[1] = 0
+            self._min_score = [None] * len(self._demand)
         if self._emit is not None:
             self._emit(_TICK_LINE % (self.seq, now))
         if self.debug:
@@ -334,7 +348,7 @@ class Simulation:
         walk, asking the own store, the F-AP, the D2D group and the BBU
         in turn, and offering the data to each store below the one that
         serves it.  Returns the serving tier's slot."""
-        own, own_cap, fap, fap_cap, bbu, bbu_cap, group = self._plain[fue]
+        own, own_cap, fap, fap_cap, bbu, bbu_cap, group = self._table[fue]
         self.seq += 1
         self._n += 1
         hits = self._hits
@@ -377,52 +391,64 @@ class Simulation:
         """The rate-hop kernel: ``_request_plain``'s walk, where every
         node the request misses counts it in its window, every node the
         data passes bumps its rate, and ``_admit`` decides what each
-        store keeps.  Returns the serving tier's slot."""
-        _, fap, bbu, _ = self._paths[fue]
+        store keeps.  Returns the serving tier's slot.
+
+        Most offers to a full store lose, and they lose here, without
+        the call: only a full store has its minimum score cached (any
+        change to the store clears it), so an offer goes to ``_admit``
+        only when that minimum is unknown or the offer beats it."""
+        (own, own_demand, fap, fap_cs, fap_demand,
+         bbu, bbu_cs, bbu_demand, group) = self._table[fue]
         self.seq += 1
         self._n += 1
         hits = self._hits
-        cs = self._cs
-        demand = self._demand
-        if rank in cs[fue]:
+        if rank in own:
             hits[0] += 1
             return 0
-        own_rate = demand[fue][rank]
+        own_rate = own_demand[rank]
         own_rate[1] += 1
-        fap_rate = demand[fap][rank]
+        fap_rate = fap_demand[rank]
         fap_rate[1] += 1
+        low = self._min_score
         admit = self._admit
-        if rank in cs[fap]:
+        if rank in fap_cs:
             hits[2] += 1
             own_rate[0] += 1.0
-            admit(fue, rank, 1)
+            if (m := low[fue]) is None or m < own_rate[0]:
+                admit(fue, rank, 1)
             return 2
-        group = self._group_of[fue]
         if group is not None:
             for peer_store in group:
                 if rank in peer_store:
                     hits[1] += 1
                     own_rate[0] += 1.0
-                    if self.cache_d2d_data:
+                    if self.cache_d2d_data and (
+                        (m := low[fue]) is None or m < own_rate[0]
+                    ):
                         admit(fue, rank, 1)
                     return 1
         two, three = self._far_weights
-        bbu_rate = demand[bbu][rank]
+        bbu_rate = bbu_demand[rank]
         bbu_rate[1] += 1
-        if rank in cs[bbu]:
+        if rank in bbu_cs:
             hits[3] += 1
             fap_rate[0] += 1.0
-            admit(fap, rank, 1)
+            if (m := low[fap]) is None or m < fap_rate[0]:
+                admit(fap, rank, 1)
             own_rate[0] += 1.0
-            admit(fue, rank, two)
+            if (m := low[fue]) is None or m < own_rate[0] * two:
+                admit(fue, rank, two)
             return 3
         hits[4] += 1
         bbu_rate[0] += 1.0
-        admit(bbu, rank, 1)
+        if (m := low[bbu]) is None or m < bbu_rate[0]:
+            admit(bbu, rank, 1)
         fap_rate[0] += 1.0
-        admit(fap, rank, two)
+        if (m := low[fap]) is None or m < fap_rate[0] * two:
+            admit(fap, rank, two)
         own_rate[0] += 1.0
-        admit(fue, rank, three)
+        if (m := low[fue]) is None or m < own_rate[0] * three:
+            admit(fue, rank, three)
         return 4
 
     def _admit(self, node: int, rank: int, weight: int) -> None:

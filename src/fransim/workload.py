@@ -5,22 +5,34 @@ drawn from a shared Zipf popularity law over the catalog.  Each device
 samples from its own seeded substream, so draws are independent across
 devices and adding devices never perturbs existing ones.
 
-numpy draws the ranks, and this module imports it only inside the
-functions that draw: numpy loads when the first schedule is built, so
-a command that builds none (``fransim oracle``) never loads it.
+The draws are numpy's, made without numpy: a device's substream is
+``numpy.random.default_rng([seed, fue])``, whose ``SeedSequence`` hash
+and PCG64 generator (O'Neill, "PCG: A Family of Simple Fast
+Space-Efficient Statistically Good Algorithms for Random Number
+Generation", HMC-CS-2014-0905) are ported here bit for bit, and the
+Zipf cdf is summed in numpy's order.  So the schedules are the ones
+numpy's ``searchsorted`` over ``cumsum`` of the pmf drew, but for the
+weights ``r ** -s``: they come from the C library's ``pow``, which may
+differ from numpy's vectorized one in the last bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import accumulate, cycle, islice
 
 from .errors import ConfigError
 from .topology import Catalog, NodeId
 
-if TYPE_CHECKING:
-    import numpy as np
+_MASK32 = (1 << 32) - 1
+_MASK53 = (1 << 53) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_TWO_COPIES = (1 << 64) + 1  # x * _TWO_COPIES is x beside a copy of x
 
 
 @dataclass(frozen=True)
@@ -53,28 +65,137 @@ class ZipfSpec:
             )
 
 
-def zipf_pmf(exponent: float, catalog_size: int) -> np.ndarray:
+def _seed_words(entropy: int | Iterable[int]) -> list[int]:
+    """``entropy`` as the 32-bit words numpy's ``SeedSequence`` reads:
+    each int split into words, least significant first, 0 as one word."""
+    words = []
+    for n in [entropy] if isinstance(entropy, int) else entropy:
+        if n < 0:
+            raise ValueError(f"entropy must be non-negative, got {n}")
+        words.append(n & _MASK32)
+        while n := n >> 32:
+            words.append(n & _MASK32)
+    return words
+
+
+def _seed_pool(entropy: int | Iterable[int]) -> list[int]:
+    """The four-word pool of ``SeedSequence(entropy)``: numpy's
+    ``mix_entropy``, words beyond the fourth mixed in after the rest."""
+    words = _seed_words(entropy)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def pcg64(entropy: int | Iterable[int]) -> Iterator[int]:
+    """The endless stream of ``numpy.random.default_rng(entropy)``, as
+    the 53-bit ints behind its ``random()`` doubles: each double is its
+    int times 2**-53.  ``entropy`` is a non-negative int or a sequence
+    of them, as numpy takes it."""
+    # SeedSequence.generate_state(4, uint64): eight hashed pool words,
+    # paired little-endian into the 128-bit seed and stream.
+    hash_const = 0x8B51F9DD
+    words = []
+    for word in islice(cycle(_seed_pool(entropy)), 8):
+        word ^= hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        word = word * hash_const & _MASK32
+        words.append(word ^ word >> 16)
+    w0, w1, w2, w3 = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    # PCG's seeding: step from 0, add the seed, step again.
+    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+    while True:
+        state = (state * _PCG_MULT + inc) & _MASK128
+        # XSL-RR: the xor of the two halves, rotated right by the top
+        # six bits, read off a doubled copy of it; its top 53 bits.
+        low = (state ^ state >> 64) & _MASK64
+        yield (low * _TWO_COPIES >> (state >> 122) + 11) & _MASK53
+
+
+def fue_rng(seed: int, fue: NodeId) -> Iterator[int]:
+    """The dedicated random substream for one device."""
+    return pcg64([seed, fue])
+
+
+def _pairwise_sum(values: list[float], lo: int, hi: int) -> float:
+    """``values[lo:hi]`` summed in numpy's ``pairwise_sum`` order: under
+    8 values one by one; up to 128 in 8 interleaved partial sums, then
+    the rest one by one; beyond, the two halves (cut at a multiple of
+    8) each so."""
+    n = hi - lo
+    if n < 8:
+        total = -0.0
+        for value in values[lo:hi]:
+            total += value
+        return total
+    if n <= 128:
+        part = values[lo:lo + 8]
+        end = hi - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                part[j] += values[i + j]
+        total = ((part[0] + part[1]) + (part[2] + part[3])) + (
+            (part[4] + part[5]) + (part[6] + part[7])
+        )
+        for value in values[end:hi]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(
+        values, lo + half, hi
+    )
+
+
+def zipf_pmf(exponent: float, catalog_size: int) -> list[float]:
     """Probability of each rank 1..K, p(r) proportional to r**-exponent."""
-    import numpy as np
-    weights = np.arange(1, catalog_size + 1, dtype=np.float64) ** -float(exponent)
-    return weights / weights.sum()
+    power = -float(exponent)
+    weights = [float(r) ** power for r in range(1, catalog_size + 1)]
+    total = _pairwise_sum(weights, 0, catalog_size)
+    return [weight / total for weight in weights]
+
+
+def zipf_cdf(exponent: float, catalog_size: int) -> list[float]:
+    """The running sum of :func:`zipf_pmf`, added as ``numpy.cumsum`` adds."""
+    return list(accumulate(zipf_pmf(exponent, catalog_size)))
+
+
+def _thresholds(exponent: float, catalog_size: int) -> list[int]:
+    """Per rank r < K, the least 53-bit draw whose double reaches
+    cdf(r): so a draw's rank is one more than the thresholds it reaches,
+    as ``searchsorted(cdf, u, side="right") + 1`` is, and a draw at or
+    beyond cdf(K), which may fall short of 1, is still rank K."""
+    cdf = zipf_cdf(exponent, catalog_size)
+    return [math.ceil(c * 2.0**53) for c in cdf[:-1]]
 
 
 def sample_ranks(
-    exponent: float, catalog_size: int, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """Draw ``count`` ranks in 1..K by inverting the cumulative pmf."""
-    import numpy as np
-    cdf = np.cumsum(zipf_pmf(exponent, catalog_size))
-    u = rng.random(count)
-    ranks = np.searchsorted(cdf, u, side="right") + 1
-    return np.minimum(ranks, catalog_size)
-
-
-def fue_rng(seed: int, fue: NodeId) -> np.random.Generator:
-    """The dedicated random substream for one device."""
-    import numpy as np
-    return np.random.default_rng([seed, fue])
+    exponent: float, catalog_size: int, rng: Iterable[int], count: int
+) -> list[int]:
+    """Draw ``count`` ranks in 1..K from ``rng``'s 53-bit draws (a
+    :func:`pcg64` stream) by inverting the cumulative pmf."""
+    thresholds = _thresholds(exponent, catalog_size)
+    return [bisect_right(thresholds, m) + 1 for m in islice(rng, count)]
 
 
 def build_schedule(
@@ -87,12 +208,12 @@ def build_schedule(
     experiments see identical request streams.
     """
     names = Catalog(spec.catalog_size).names
+    thresholds = _thresholds(spec.exponent, spec.catalog_size)
     n = spec.interests_per_fue
     fues = sorted(fue_ids)
     columns = [
-        [names[r - 1] for r in sample_ranks(
-            spec.exponent, spec.catalog_size, fue_rng(spec.seed, fue), n
-        ).tolist()]
+        [names[bisect_right(thresholds, m)]
+         for m in islice(fue_rng(spec.seed, fue), n)]
         for fue in fues
     ]
     # Every row of a step shares that step's one time object.

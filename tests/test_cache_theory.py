@@ -75,7 +75,7 @@ def chain_hit_ratio(policy: str, p: np.ndarray) -> float:
 
 @pytest.mark.parametrize("policy", ["fifo", "lru"])
 def test_closed_forms_match_the_store_chain(policy):
-    p = zipf_pmf(0.8, 6)
+    p = np.array(zipf_pmf(0.8, 6))
     assert exact_hit_ratio(policy, p) == pytest.approx(
         chain_hit_ratio(policy, p), rel=1e-12
     )
@@ -109,7 +109,7 @@ def test_device_store_hit_ratio_matches_irm_theory(policy, exponent):
             sim.request(fue, name, t)
         ratios += [hits[u] / requests[u] for u in sorted(devices)]
 
-    exact = exact_hit_ratio(policy, zipf_pmf(exponent, 100))
+    exact = exact_hit_ratio(policy, np.array(zipf_pmf(exponent, 100)))
     mean = statistics.fmean(ratios)
     stderr = statistics.stdev(ratios) / math.sqrt(len(ratios))
     print(

@@ -1,5 +1,6 @@
-"""The import graph follows the work: numpy loads only when a schedule is
-built, and multiprocessing only when ``sweep`` starts a pool.
+"""The import graph follows the work: no command loads numpy, which the
+schedules do not need, and multiprocessing loads only when ``sweep``
+starts a pool.
 
 Each case runs ``python -X importtime -m fransim`` in a fresh
 interpreter and reads the modules it loaded from standard error.
@@ -75,9 +76,9 @@ RUN = ["run", "s.yaml", "--output", "m.csv"]
 @pytest.mark.parametrize("argv,loads,skips", [
     (["-c", "import fransim"], set(), {"numpy", "multiprocessing"}),
     (["-m", "fransim", *ORACLE], set(), {"numpy", "multiprocessing"}),
-    # A serial sweep builds schedules, so it needs numpy, but no pool.
-    (["-m", "fransim", *SWEEP], {"numpy"}, {"multiprocessing"}),
-    (["-m", "fransim", *RUN], {"numpy"}, {"multiprocessing"}),
+    # Building schedules needs neither numpy nor, serially, a pool.
+    (["-m", "fransim", *SWEEP], set(), {"numpy", "multiprocessing"}),
+    (["-m", "fransim", *RUN], set(), {"numpy", "multiprocessing"}),
 ], ids=["import", "oracle", "sweep-serial", "run"])
 def test_commands_load_only_what_they_use(tmp_path, argv, loads, skips):
     modules = imported(tmp_path, *argv)

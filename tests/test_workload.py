@@ -1,12 +1,19 @@
+import math
+from itertools import islice
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fransim.errors import ConfigError
 from fransim.workload import (
     ZipfSpec,
     build_schedule,
     fue_rng,
+    pcg64,
     sample_ranks,
+    zipf_cdf,
     zipf_pmf,
 )
 
@@ -14,9 +21,10 @@ from fransim.workload import (
 def test_pmf_normalizes():
     for s, k in [(0.0, 10), (0.8, 100), (1.0, 50), (2.5, 7)]:
         pmf = zipf_pmf(s, k)
-        assert pmf.shape == (k,)
-        assert abs(pmf.sum() - 1.0) < 1e-12
-        assert np.all(np.diff(pmf) <= 0)  # popularity never increases
+        assert len(pmf) == k
+        assert abs(math.fsum(pmf) - 1.0) < 1e-12
+        # popularity never increases
+        assert all(later <= p for p, later in zip(pmf, pmf[1:]))
 
 
 def test_pmf_two_rank_harmonic():
@@ -27,23 +35,23 @@ def test_pmf_two_rank_harmonic():
 
 def test_pmf_exponent_zero_is_uniform():
     pmf = zipf_pmf(0.0, 8)
-    assert np.allclose(pmf, 1 / 8)
+    assert pmf == [1 / 8] * 8
 
 
 def test_sample_ranks_within_range_and_deterministic():
-    a = sample_ranks(0.8, 100, np.random.default_rng(42), 5000)
-    b = sample_ranks(0.8, 100, np.random.default_rng(42), 5000)
-    assert np.array_equal(a, b)
-    assert a.min() >= 1 and a.max() <= 100
+    a = sample_ranks(0.8, 100, pcg64(42), 5000)
+    b = sample_ranks(0.8, 100, pcg64(42), 5000)
+    assert a == b
+    assert min(a) >= 1 and max(a) <= 100
 
 
 def test_sample_frequencies_track_pmf():
     # Rank-1 frequency within 3 sigma of its exact probability.
     n = 200_000
-    ranks = sample_ranks(0.8, 100, np.random.default_rng(7), n)
+    ranks = sample_ranks(0.8, 100, pcg64(7), n)
     p1 = zipf_pmf(0.8, 100)[0]
     sigma = (p1 * (1 - p1) / n) ** 0.5
-    assert abs((ranks == 1).mean() - p1) < 3 * sigma
+    assert abs(ranks.count(1) / n - p1) < 3 * sigma
 
 
 def test_spec_validation():
@@ -90,16 +98,130 @@ def test_substreams_differ_between_fues():
 
 
 def test_fue_rng_keyed_by_seed_and_node():
-    a = fue_rng(0, 4).random(5)
-    b = fue_rng(0, 4).random(5)
-    c = fue_rng(1, 4).random(5)
-    d = fue_rng(0, 5).random(5)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert not np.array_equal(a, d)
+    a = list(islice(fue_rng(0, 4), 5))
+    b = list(islice(fue_rng(0, 4), 5))
+    c = list(islice(fue_rng(1, 4), 5))
+    d = list(islice(fue_rng(0, 5), 5))
+    assert a == b
+    assert a != c
+    assert a != d
 
 
 def test_inter_arrival_spacing():
     spec = ZipfSpec(catalog_size=5, interests_per_fue=4, inter_arrival=2.5)
     schedule = build_schedule(spec, [4])
     assert [t for t, _, _ in schedule] == [0.0, 2.5, 5.0, 7.5]
+
+
+# -- the pure-Python draws against numpy, their reference -----------------
+
+# Ints of one, two to three and four or more 32-bit words, so that
+# entropy spans one to eight or more words and words beyond the pool's
+# four are mixed in.
+ENTROPY_INT = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**96 - 1),
+    st.integers(2**96, 2**200),
+)
+
+
+def doubles(stream, count):
+    return [m * 2.0**-53 for m in islice(stream, count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=ENTROPY_INT, fue=ENTROPY_INT, count=st.integers(1, 40))
+def test_the_stream_is_numpys_default_rng(seed, fue, count):
+    expected = np.random.default_rng([seed, fue]).random(count).tolist()
+    assert doubles(pcg64([seed, fue]), count) == expected
+    assert doubles(fue_rng(seed, fue), count) == expected
+
+
+@pytest.mark.parametrize(
+    "entropy", [0, 424242, 2**64 + 3, [], [5], [1, 2, 3, 4, 5, 6]]
+)
+def test_the_stream_takes_numpys_entropy_forms(entropy):
+    expected = np.random.default_rng(entropy).random(1000).tolist()
+    assert doubles(pcg64(entropy), 1000) == expected
+
+
+def test_the_stream_refuses_negative_entropy():
+    with pytest.raises(ValueError):
+        next(pcg64([0, -1]))
+
+
+def numpy_cdf(exponent, catalog_size):
+    """numpy's cumsum of the pmf, from the weights ``zipf_pmf`` uses."""
+    weights = np.array(
+        [float(r) ** -float(exponent) for r in range(1, catalog_size + 1)]
+    )
+    return np.cumsum(weights / weights.sum())
+
+
+CDF_CASES = [
+    (s, k) for s in (0.0, 0.6, 0.8, 1.0, 1.7) for k in range(1, 201)
+] + [(0.8, 100), (0.6, 10_000)]
+
+
+def test_the_cdf_is_numpys_cumsum():
+    for exponent, catalog_size in CDF_CASES:
+        cdf = numpy_cdf(exponent, catalog_size)
+        assert zipf_cdf(exponent, catalog_size) == cdf.tolist(), (
+            exponent, catalog_size)
+        # numpy's own vectorized pow may round a weight the other way,
+        # so against numpy's weights the cdf agrees to a few ulps.
+        weights = np.arange(1, catalog_size + 1, dtype=np.float64) ** -exponent
+        native = np.cumsum(weights / weights.sum())
+        assert np.allclose(cdf, native, rtol=1e-14, atol=0)
+
+
+def test_the_ranks_are_numpys_searchsorted():
+    for exponent, catalog_size in CDF_CASES:
+        cdf = numpy_cdf(exponent, catalog_size)
+        # 500 drawn doubles, then the doubles on each side of every cdf
+        # value: 53-bit draws m with m * 2**-53 just below and at it.
+        at = [math.ceil(c * 2**53) for c in cdf.tolist()]
+        draws = list(islice(pcg64(catalog_size), 500)) + [
+            m for a in at for m in (a - 1, a) if m < 2**53
+        ]
+        u = np.array(draws, dtype=np.float64) * 2.0**-53
+        expected = np.minimum(
+            np.searchsorted(cdf, u, side="right") + 1, catalog_size
+        )
+        ranks = sample_ranks(exponent, catalog_size, iter(draws), len(draws))
+        assert ranks == expected.tolist(), (exponent, catalog_size)
+        assert ranks[:500] == sample_ranks(
+            exponent, catalog_size, pcg64(catalog_size), 500
+        )
+
+
+@pytest.mark.parametrize("exponent,catalog_size", [(0.8, 100), (0.6, 10_000)])
+def test_the_benchmark_ranks_match_numpys_own_pipeline(exponent, catalog_size):
+    # The sampler as numpy ran it: numpy's pow, sum, cumsum and
+    # searchsorted over default_rng([seed, fue]).
+    weights = np.arange(1, catalog_size + 1, dtype=np.float64) ** -exponent
+    cdf = np.cumsum(weights / weights.sum())
+    u = np.random.default_rng([0, 7]).random(20_000)
+    expected = np.minimum(
+        np.searchsorted(cdf, u, side="right") + 1, catalog_size
+    )
+    ranks = sample_ranks(exponent, catalog_size, fue_rng(0, 7), 20_000)
+    assert ranks == expected.tolist()
+
+
+def test_a_draw_at_or_beyond_the_last_cdf_value_is_the_last_rank():
+    exponent, k = next(
+        (s, k) for s in (0.6, 0.8, 1.0) for k in range(2, 200)
+        if zipf_cdf(s, k)[-1] < 1.0
+    )
+    cdf = zipf_cdf(exponent, k)
+    top = math.ceil(cdf[-1] * 2**53)  # the least draw at or beyond cdf[-1]
+    edge = math.ceil(cdf[-2] * 2**53)  # the least draw at or beyond cdf[-2]
+    draws = [top - 1, top, 2**53 - 1, edge - 1, edge]
+    assert top < 2**53
+    assert sample_ranks(exponent, k, iter(draws), 5) == [k, k, k, k - 1, k]
+    u = np.array(draws) * 2.0**-53
+    assert (
+        np.minimum(np.searchsorted(cdf, u, side="right") + 1, k).tolist()
+        == [k, k, k, k - 1, k]
+    )
