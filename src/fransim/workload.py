@@ -31,7 +31,7 @@ _MASK32 = (1 << 32) - 1
 _MASK53 = (1 << 53) - 1
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's LCG multiplier
 _TWO_COPIES = (1 << 64) + 1  # x * _TWO_COPIES is x beside a copy of x
 
 
