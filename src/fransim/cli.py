@@ -51,10 +51,11 @@ def _format_row(row: dict) -> dict:
 
 
 @contextmanager
-def _writing(path: str | Path, newline: str | None = None):
+def _writing(path: str | Path, newline: str | None = None,
+             buffering: int = -1):
     """Open an output file; failing to write it is a configuration error."""
     try:
-        with open(path, "w", encoding="utf-8", newline=newline) as handle:
+        with open(path, "w", buffering, "utf-8", newline=newline) as handle:
             yield handle
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
@@ -112,7 +113,11 @@ def cmd_run(args) -> int:
             with ExitStack() as files:
                 trace = None
                 if seed in traces:
-                    trace = files.enter_context(_writing(traces[seed])).write
+                    # A large buffer: a request's lines are one write
+                    # of a few hundred bytes.
+                    trace = files.enter_context(
+                        _writing(traces[seed], buffering=1 << 20)
+                    ).write
                 report = engine.run_single(
                     cfg, seed, debug=args.debug, trace=trace
                 )

@@ -9,33 +9,38 @@ sequence) with rate-refresh ticks firing before same-time arrivals;
 processing is single-threaded and uses no randomness, so a run is a
 pure function of (topology, schedule, policy, knobs).
 
-The request kernel is chosen once per run, by policy:
-``_request_plain`` for FIFO and LRU and ``_request_ratehop`` for
-rate-hop, whose misses also count window demand, whose deliveries bump
-rates and whose stores admit by score (``_admit``).  Each kernel asks
-the tiers in order, counts the request at the one that serves it,
-offers the data to each store on the way down and returns that tier's
-slot.  Neither writes a trace or checks an invariant.  Under ``debug``
-or a trace, ``_observed`` runs the kernel and then the walk its serving
-tier implies, precomputed per device and tier: it runs the PIT and
-capacity checks over the walk and, with a trace, fills the walk's
-precomputed template with the content name and one shared seq/time
-tail, so that a request's records cost one format and one write.
+A replay is one loop over ``(time, device, rank)`` rows, chosen once
+per run by policy: ``_replay_plain`` for FIFO and LRU and
+``_replay_ratehop`` for rate-hop, whose misses also count window
+demand, whose deliveries bump rates and whose stores admit by score
+(``_admit``).  The loop converts each new time object once and fires
+the refresh ticks due before it, then serves each request inline: it
+asks the tiers in order, counts the request at the one that serves it
+and offers the data to each store on the way down.  Under ``debug``,
+``_observed`` then runs the PIT and capacity checks over the walk the
+serving tier implies, precomputed per device and tier; with a trace,
+the loop writes that walk's records in one call.  Each walk's records
+are kept as their text split at the content-name holes, with a
+``"\\0"`` where each record's shared seq/time tail goes, so a request's
+lines are one join and one replace.  ``run_schedule`` feeds the loop a
+``Schedule``'s rank rows, or maps any other ``(time, device, name)``
+rows to ranks on the way in; ``request`` is a one-row replay.
 
 For speed the hot path keys all per-node state by integer content
 rank rather than by name and relies on two exact shortcuts: victims
-are taken from dict order, and the selective policy caches each
+are taken from dict order, and the selective policy caches each full
 store's minimum entry score so the common reject decision is O(1)
-and made in the kernel, without a call.
+and made in the loop, without a call.
 Only LRU reorders a store on a hit, so FIFO and rate-hop stores keep
 insertion order: FIFO and LRU evict the first entry, and rate-hop the
-first (so oldest) entry whose score is the minimum.
-The cached minimum is invalidated whenever rates are refreshed or the
-store mutates; data arrivals only bump the rate of content that is not
-in the store, which cannot lower the minimum.  Pending-interest state
-collapses within one processed chain, so the PIT bookkeeping runs only
-under ``debug``, where it feeds the single-forward and flow
-conservation checks.
+first (so oldest) entry whose score is the minimum.  An admission
+finds that entry, the minimum and the runner-up in one pass over the
+store and caches the store's new minimum; a refresh clears the cache.
+Data arrivals only bump the rate of content that is not in the store,
+which cannot change the minimum.  Pending-interest state collapses
+within one processed chain, so the PIT bookkeeping runs only under
+``debug``, where it feeds the single-forward and flow conservation
+checks.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .config import MAX_TICKS_PER_STEP, ScenarioConfig, first_repeat, is_int
 from .errors import ConfigError, InvariantViolation
 from .policies import MAX_RATE, PolicyConfig, ScoreRule, POLICY_NAMES
 from .topology import Catalog, Topology, distribute_fues
-from .workload import build_schedule
+from .workload import Schedule, build_schedule
 
 TIER_KEYS = ("own_cs", "d2d", "fap", "bbu", "producer")
 
@@ -97,6 +102,10 @@ def _plain_time(now):
     return now
 
 
+def _not_a_device(node) -> ValueError:
+    return ValueError(f"node {node!r} is not a device")
+
+
 def _offer(store: dict, cap: int, rank: int, weight: int) -> None:
     """Admit ``rank``, which ``store`` does not hold, to a FIFO or LRU
     store of capacity ``cap``, evicting its first entry when full."""
@@ -108,12 +117,12 @@ def _offer(store: dict, cap: int, rank: int, weight: int) -> None:
 
 def _walks(path: tuple, traced: bool) -> tuple:
     """Per tier slot, what a request from ``path[0]`` served there
-    implies: with ``traced``, its trace records as one ``%``-template
-    and their count, each record leaving two ``%s`` holes, for the
-    content name and the shared ``_EVENT_TAIL`` (else None and the
-    count); the nodes below the serving one, each of which forwarded
-    the request and so has it pending until the data passes back down;
-    and the nodes whose stores the data may have reached."""
+    implies: with ``traced``, its trace records' text split at the
+    content-name holes, each record ending in a ``"\\0"`` where the
+    shared ``_EVENT_TAIL`` goes (else None); the nodes below the serving
+    one, each of which forwarded the request and so has it pending
+    until the data passes back down; and the nodes whose stores the
+    data may have reached."""
     walks = []
     for depth, outcome in _SERVING:
         below = path[:depth]
@@ -123,12 +132,11 @@ def _walks(path: tuple, traced: bool) -> tuple:
             + [("interest", path[depth], outcome)]
             + [("data", node, arrival) for node in reversed(below)]
         )
-        template = "".join(
-            _EVENT_FIELDS % (kind, "%s", node, result) + "%s"
+        pieces = tuple("".join(
+            _EVENT_FIELDS % (kind, "%s", node, result) + "\0"
             for kind, node, result in records
-        ) if traced else None
-        walks.append((template, len(records), below,
-                      path[:depth + 1] if depth else ()))
+        ).split("%s")) if traced else None
+        walks.append((pieces, below, path[:depth + 1] if depth else ()))
     return tuple(walks)
 
 
@@ -150,7 +158,7 @@ class MetricsReport:
 
 
 class Simulation:
-    """One run's mutable state plus the request-processing kernel.
+    """One run's mutable state plus the request-processing loop.
 
     Drive it either with :meth:`run_schedule` or by calling
     :meth:`tick` and :meth:`request` by hand for scripted scenarios.
@@ -211,22 +219,23 @@ class Simulation:
         self._demand: list[defaultdict[int, list]] = [
             defaultdict([0.0, 0].copy) for _ in range(n)
         ]
+        # Per node, its full store's minimum score, or None if unknown.
+        # The list is cleared in place, never replaced, so a replay may
+        # hold it in a local.
         self._min_score: list[float | None] = [None] * n
         # With D2D on, each device refers to its access point's group:
         # the stores of the access point's devices in device-id order,
         # so a D2D lookup that asks them in turn finds the lowest-id
         # holder.  Stores are mutated in place and never replaced, so
-        # the tuple stays current.  None everywhere without D2D.
-        self._group_of: list[tuple[dict, ...] | None] = [None] * n
+        # the tuple stays current.  Empty everywhere without D2D.
+        group_of: list[tuple[dict, ...]] = [()] * n
         if topo.d2d_enabled:
             for fap in topo.faps():
                 group = topo.children(fap)
                 stores = tuple(self._cs[fue] for fue in group)
                 for fue in group:
-                    self._group_of[fue] = stores
-        self._paths = {
-            fue: tuple(topo.upstream_path(fue)) for fue in topo.fues()
-        }
+                    group_of[fue] = stores
+        paths = {fue: tuple(topo.upstream_path(fue)) for fue in topo.fues()}
         # Data fetched over 2 and 3 hops is weighted so.
         rate_only = self.config.score_rule is ScoreRule.RATE_ONLY
         self._far_weights = (1, 1) if rate_only else (2, 3)
@@ -235,11 +244,11 @@ class Simulation:
         self._n = 0
         self._hits = [0] * len(TIER_KEYS)  # one count per tier, in order
 
-        # Per device, for its kernel: its own, F-AP and BBU stores, and
-        # its D2D group; for FIFO and LRU each store's capacity, for
-        # rate-hop each node's demand map and the upper nodes' ids.
+        # Per device, for its loop: its own, F-AP and BBU stores, and its
+        # D2D group; for FIFO and LRU each store's capacity, for rate-hop
+        # each node's demand map and the upper nodes' ids.
         cs = self._cs
-        # The kernels are kept as plain functions, not bound methods: a
+        # The loops are kept as plain functions, not bound methods: a
         # bound method on the instance would hold it in a reference
         # cycle that only the cycle collector frees.
         if self._is_ratehop:
@@ -249,11 +258,11 @@ class Simulation:
                     cs[fue], demand[fue],
                     fap, cs[fap], demand[fap],
                     bbu, cs[bbu], demand[bbu],
-                    self._group_of[fue],
+                    group_of[fue],
                 )
-                for fue, (_, fap, bbu, _) in self._paths.items()
+                for fue, (_, fap, bbu, _) in paths.items()
             }
-            self._kernel = Simulation._request_ratehop
+            self._replay = Simulation._replay_ratehop
         else:
             capacity = topo.capacity
             self._table = {
@@ -261,19 +270,15 @@ class Simulation:
                     cs[fue], capacity[fue],
                     cs[fap], capacity[fap],
                     cs[bbu], capacity[bbu],
-                    self._group_of[fue],
+                    group_of[fue],
                 )
-                for fue, (_, fap, bbu, _) in self._paths.items()
+                for fue, (_, fap, bbu, _) in paths.items()
             }
-            self._kernel = Simulation._request_plain
-        if debug or trace is not None:
-            self._walks = {
-                fue: _walks(path, trace is not None)
-                for fue, path in self._paths.items()
-            }
-            self._handle = Simulation._observed
-        else:
-            self._handle = self._kernel
+            self._replay = Simulation._replay_plain
+        self._walks = {
+            fue: _walks(path, trace is not None)
+            for fue, path in paths.items()
+        } if debug or trace is not None else None
 
     # -- public inspection / scripting helpers ------------------------
 
@@ -328,178 +333,274 @@ class Simulation:
                 for entry in demand.values():
                     entry[0] = (alpha * entry[1] + beta * entry[0]) / denom
                     entry[1] = 0
-            self._min_score = [None] * len(self._demand)
+            self._min_score[:] = [None] * len(self._min_score)
         if self._emit is not None:
             self._emit(_TICK_LINE % (self.seq, now))
         if self.debug:
             self._check_capacity(range(len(self.topo)))
 
     def request(self, fue: int, name: str, now: float) -> None:
-        """Process one consumer request to completion.  A ``fue`` that
-        is not a device raises ``ValueError`` and changes nothing."""
-        rank = self.catalog.index[name]
-        now = _plain_time(now)
-        if fue not in self._paths:
-            raise ValueError(f"node {fue!r} is not a device")
-        self._handle(self, fue, rank, now)
+        """Process one consumer request to completion, as a one-row
+        replay that fires no tick.  A ``fue`` that is not a device
+        raises ``ValueError`` and changes nothing."""
+        self._replay(self, ((now, fue, self.catalog.index[name]),), math.inf)
 
-    def _request_plain(self, fue: int, rank: int, now: float) -> int:
-        """The FIFO and LRU kernel: serve, count and admit in one flat
-        walk, asking the own store, the F-AP, the D2D group and the BBU
-        in turn, and offering the data to each store below the one that
-        serves it.  Returns the serving tier's slot."""
-        own, own_cap, fap, fap_cap, bbu, bbu_cap, group = self._table[fue]
-        self.seq += 1
-        self._n += 1
+    def run_schedule(self, schedule) -> MetricsReport:
+        """Replay arrivals in order, firing refresh ticks every tau.
+
+        ``schedule`` is a :class:`~fransim.workload.Schedule` or any
+        iterable of ``(time, device, name)`` rows.  Ticks land at tau,
+        2 tau, ... and take effect before arrivals that share the same
+        time.  Times are checked and converted as :meth:`request` does,
+        once per time object.  A row that would take the run past
+        ``MAX_TICKS_PER_STEP`` ticks per row replayed so far, itself
+        included, raises ``ValueError`` before any of its ticks fire;
+        every run a ``ScenarioConfig`` admits stays within that bound.
+        A row from a node that is not a device raises ``ValueError``
+        before anything of it, its ticks included, is applied.
+        """
+        if (isinstance(schedule, Schedule)
+                and schedule.catalog_size <= len(self.catalog)):
+            rows = schedule.ranked()
+        else:
+            index = self.catalog.index
+            rows = ((t, fue, index[name]) for t, fue, name in schedule)
+        self._replay(self, rows, self.config.tau)
+        if self.debug:
+            self._check_final()
+        return self.report()
+
+    def _tick_until(self, now, tau: float, tick_no: int, start: int) -> int:
+        """Fire refresh ticks ``tick_no``, ``tick_no + 1``, ... while
+        they are due by ``now``, and return the number of the next one.
+        If that would pass the tick bound for a replay that began at
+        request count ``start``, raise ``ValueError`` before any fires.
+        """
+        # Tick k fires at tau * k, so the run passes its tick limit iff
+        # the next tick past it is due; a float product cannot raise,
+        # and an overflow to inf is simply never due.
+        if tau * (MAX_TICKS_PER_STEP * (self._n - start + 1) + 1) <= now:
+            raise ValueError(
+                f"policy tau {tau!r} is too short for this schedule: "
+                f"reaching time {now!r} would fire more than "
+                f"{MAX_TICKS_PER_STEP} refresh ticks per row replayed"
+            )
+        next_tick = tau * tick_no
+        while next_tick <= now:
+            self.tick(next_tick)
+            tick_no += 1
+            next_tick = tau * tick_no
+        return tick_no
+
+    def _replay_plain(self, rows, tau: float) -> None:
+        """The FIFO and LRU loop over ``(time, device, rank)`` rows,
+        with ticks every ``tau``: each request asks the own store, the
+        F-AP, the D2D group and the BBU in turn, is counted at the one
+        that serves it, and offers its data to each store below."""
+        table = self._table
         hits = self._hits
         lru = self._is_lru
-        if rank in own:
-            if lru:
-                own[rank] = own.pop(rank)
-            hits[0] += 1
-            return 0
-        if rank in fap:
-            if lru:
-                fap[rank] = fap.pop(rank)
-            hits[2] += 1
-            _offer(own, own_cap, rank, 1)
-            return 2
-        if group is not None:
-            for peer_store in group:
-                if rank in peer_store:
-                    if lru:
-                        peer_store[rank] = peer_store.pop(rank)
-                    hits[1] += 1
-                    if self.cache_d2d_data:
-                        _offer(own, own_cap, rank, 1)
-                    return 1
+        cache_d2d = self.cache_d2d_data
         two, three = self._far_weights
-        if rank in bbu:
-            if lru:
-                bbu[rank] = bbu.pop(rank)
-            hits[3] += 1
-            _offer(fap, fap_cap, rank, 1)
-            _offer(own, own_cap, rank, two)
-            return 3
-        hits[4] += 1
-        _offer(bbu, bbu_cap, rank, 1)
-        _offer(fap, fap_cap, rank, two)
-        _offer(own, own_cap, rank, three)
-        return 4
+        debug = self.debug
+        emit = self._emit
+        observed = debug or emit is not None
+        walks = self._walks
+        names = self.catalog.names
+        start = self._n
+        tick_no = 1
+        next_tick = tau
+        last = object()  # no row's time is this object
+        for t, fue, rank in rows:
+            try:
+                own, own_cap, fap, fap_cap, bbu, bbu_cap, group = table[fue]
+            except KeyError:
+                raise _not_a_device(fue) from None
+            if t is not last:
+                now = _plain_time(t)
+                if next_tick <= now:
+                    tick_no = self._tick_until(now, tau, tick_no, start)
+                    next_tick = tau * tick_no
+                last = t
+                if emit is not None:
+                    step_tail = _EVENT_TAIL.replace("%r", repr(now))
+            self.seq += 1
+            self._n += 1
+            if rank in own:
+                if lru:
+                    own[rank] = own.pop(rank)
+                slot = 0
+            elif rank in fap:
+                if lru:
+                    fap[rank] = fap.pop(rank)
+                slot = 2
+                _offer(own, own_cap, rank, 1)
+            else:
+                for peer_store in group:
+                    if rank in peer_store:
+                        if lru:
+                            peer_store[rank] = peer_store.pop(rank)
+                        slot = 1
+                        if cache_d2d:
+                            _offer(own, own_cap, rank, 1)
+                        break
+                else:
+                    if rank in bbu:
+                        if lru:
+                            bbu[rank] = bbu.pop(rank)
+                        slot = 3
+                        _offer(fap, fap_cap, rank, 1)
+                        _offer(own, own_cap, rank, two)
+                    else:
+                        slot = 4
+                        _offer(bbu, bbu_cap, rank, 1)
+                        _offer(fap, fap_cap, rank, two)
+                        _offer(own, own_cap, rank, three)
+            hits[slot] += 1
+            if observed:
+                if debug:
+                    self._observed(fue, rank, slot)
+                if emit is not None:
+                    emit(names[rank].join(walks[fue][slot][0])
+                         .replace("\0", step_tail % self.seq))
 
-    def _request_ratehop(self, fue: int, rank: int, now: float) -> int:
-        """The rate-hop kernel: ``_request_plain``'s walk, where every
-        node the request misses counts it in its window, every node the
-        data passes bumps its rate, and ``_admit`` decides what each
-        store keeps.  Returns the serving tier's slot.
+    def _replay_ratehop(self, rows, tau: float) -> None:
+        """The rate-hop loop: ``_replay_plain``'s walk, where every node
+        the request misses counts it in its window, every node the data
+        passes bumps its rate, and ``_admit`` decides what each store
+        keeps.
 
         Most offers to a full store lose, and they lose here, without
-        the call: only a full store has its minimum score cached (any
-        change to the store clears it), so an offer goes to ``_admit``
-        only when that minimum is unknown or the offer beats it."""
-        (own, own_demand, fap, fap_cs, fap_demand,
-         bbu, bbu_cs, bbu_demand, group) = self._table[fue]
-        self.seq += 1
-        self._n += 1
+        the call: only a full store has its minimum score cached, so an
+        offer goes to ``_admit`` only when that minimum is unknown or
+        the offer beats it."""
+        table = self._table
         hits = self._hits
-        if rank in own:
-            hits[0] += 1
-            return 0
-        own_rate = own_demand[rank]
-        own_rate[1] += 1
-        fap_rate = fap_demand[rank]
-        fap_rate[1] += 1
         low = self._min_score
         admit = self._admit
-        if rank in fap_cs:
-            hits[2] += 1
-            own_rate[0] += 1.0
-            if (m := low[fue]) is None or m < own_rate[0]:
-                admit(fue, rank, 1)
-            return 2
-        if group is not None:
-            for peer_store in group:
-                if rank in peer_store:
-                    hits[1] += 1
-                    own_rate[0] += 1.0
-                    if self.cache_d2d_data and (
-                        (m := low[fue]) is None or m < own_rate[0]
-                    ):
-                        admit(fue, rank, 1)
-                    return 1
+        cache_d2d = self.cache_d2d_data
         two, three = self._far_weights
-        bbu_rate = bbu_demand[rank]
-        bbu_rate[1] += 1
-        if rank in bbu_cs:
-            hits[3] += 1
-            fap_rate[0] += 1.0
-            if (m := low[fap]) is None or m < fap_rate[0]:
-                admit(fap, rank, 1)
-            own_rate[0] += 1.0
-            if (m := low[fue]) is None or m < own_rate[0] * two:
-                admit(fue, rank, two)
-            return 3
-        hits[4] += 1
-        bbu_rate[0] += 1.0
-        if (m := low[bbu]) is None or m < bbu_rate[0]:
-            admit(bbu, rank, 1)
-        fap_rate[0] += 1.0
-        if (m := low[fap]) is None or m < fap_rate[0] * two:
-            admit(fap, rank, two)
-        own_rate[0] += 1.0
-        if (m := low[fue]) is None or m < own_rate[0] * three:
-            admit(fue, rank, three)
-        return 4
+        debug = self.debug
+        emit = self._emit
+        observed = debug or emit is not None
+        walks = self._walks
+        names = self.catalog.names
+        start = self._n
+        tick_no = 1
+        next_tick = tau
+        last = object()  # no row's time is this object
+        for t, fue, rank in rows:
+            try:
+                (own, own_demand, fap, fap_cs, fap_demand,
+                 bbu, bbu_cs, bbu_demand, group) = table[fue]
+            except KeyError:
+                raise _not_a_device(fue) from None
+            if t is not last:
+                now = _plain_time(t)
+                if next_tick <= now:
+                    tick_no = self._tick_until(now, tau, tick_no, start)
+                    next_tick = tau * tick_no
+                last = t
+                if emit is not None:
+                    step_tail = _EVENT_TAIL.replace("%r", repr(now))
+            self.seq += 1
+            self._n += 1
+            if rank in own:
+                slot = 0
+            else:
+                own_rate = own_demand[rank]
+                own_rate[1] += 1
+                fap_rate = fap_demand[rank]
+                fap_rate[1] += 1
+                if rank in fap_cs:
+                    slot = 2
+                    own_rate[0] += 1.0
+                    if (m := low[fue]) is None or m < own_rate[0]:
+                        admit(fue, rank, 1)
+                else:
+                    for peer_store in group:
+                        if rank in peer_store:
+                            slot = 1
+                            own_rate[0] += 1.0
+                            if cache_d2d and (
+                                (m := low[fue]) is None or m < own_rate[0]
+                            ):
+                                admit(fue, rank, 1)
+                            break
+                    else:
+                        bbu_rate = bbu_demand[rank]
+                        bbu_rate[1] += 1
+                        if rank in bbu_cs:
+                            slot = 3
+                        else:
+                            slot = 4
+                            bbu_rate[0] += 1.0
+                            if (m := low[bbu]) is None or m < bbu_rate[0]:
+                                admit(bbu, rank, 1)
+                        # The weight of data from the BBU, or from the
+                        # producer through it, at the F-AP and device.
+                        near, far = (1, two) if slot == 3 else (two, three)
+                        fap_rate[0] += 1.0
+                        if (m := low[fap]) is None or m < fap_rate[0] * near:
+                            admit(fap, rank, near)
+                        own_rate[0] += 1.0
+                        if (m := low[fue]) is None or m < own_rate[0] * far:
+                            admit(fue, rank, far)
+            hits[slot] += 1
+            if observed:
+                if debug:
+                    self._observed(fue, rank, slot)
+                if emit is not None:
+                    emit(names[rank].join(walks[fue][slot][0])
+                         .replace("\0", step_tail % self.seq))
 
     def _admit(self, node: int, rank: int, weight: int) -> None:
         """Offer ``rank``, which the store at ``node`` does not hold, at
         fetch weight ``weight``: a full store takes it only if its score
-        beats the store's minimum, evicting the first entry at it."""
+        beats the store's minimum, evicting the first entry at it.  One
+        pass finds that entry, the minimum and the runner-up, so a full
+        store leaves with its minimum cached."""
         cap = self.topo.capacity[node]
         if cap == 0:
             return
         store = self._cs[node]
-        if len(store) >= cap:
-            demand = self._demand[node]
-            incoming = demand[rank][0] * weight
-            low = self._min_score[node]
-            if low is None:
-                low = min(demand[r][0] * w for r, w in store.items())
-                self._min_score[node] = low
-            if not low < incoming:
-                return
-            # ``low`` is the exact current minimum of these products.
-            victim = next(
-                r for r, w in store.items() if demand[r][0] * w == low
-            )
+        if len(store) < cap:
+            store[rank] = weight
+            return
+        demand = self._demand[node]
+        incoming = demand[rank][0] * weight
+        low = second = math.inf
+        for r, w in store.items():
+            score = demand[r][0] * w
+            if score < low:
+                second = low
+                low = score
+                victim = r
+            elif score < second:
+                second = score
+        if low < incoming:
             del store[victim]
-        store[rank] = weight
-        self._min_score[node] = None
+            store[rank] = weight
+            low = min(second, incoming)
+        self._min_score[node] = low
 
-    def _observed(self, fue: int, rank: int, now: float) -> int:
-        """Run the kernel, then the walk its serving tier implies: under
-        ``debug``, open a pending interest at each forwarding node
-        (refusing a second), consume each as the data passes back down
-        and check the stores the data reached; with a trace, write the
-        walk's records in one call."""
-        slot = self._kernel(self, fue, rank, now)
-        template, k, forwards, reached = self._walks[fue][slot]
-        if self.debug:
-            for node in forwards:
-                pit = self._pit[node]
-                if rank in pit:
-                    raise InvariantViolation(
-                        f"node {node} forwarded {self.catalog.names[rank]} "
-                        f"twice while pending (event {self.seq})"
-                    )
-                pit.add(rank)
-            for node in reversed(forwards):
-                self._consume(node, rank)
-            self._check_capacity(reached)
-        if template is not None:
-            tail = _EVENT_TAIL % (self.seq, now)
-            self._emit(template % ((self.catalog.names[rank], tail) * k))
-        return slot
+    def _observed(self, fue: int, rank: int, slot: int) -> None:
+        """The debug checks over the walk that serving ``rank`` to
+        ``fue`` at tier ``slot`` implies: open a pending interest at
+        each forwarding node (refusing a second), consume each as the
+        data passes back down and check the stores the data reached."""
+        _, forwards, reached = self._walks[fue][slot]
+        for node in forwards:
+            pit = self._pit[node]
+            if rank in pit:
+                raise InvariantViolation(
+                    f"node {node} forwarded {self.catalog.names[rank]} "
+                    f"twice while pending (event {self.seq})"
+                )
+            pit.add(rank)
+        for node in reversed(forwards):
+            self._consume(node, rank)
+        self._check_capacity(reached)
 
     # -- debug instrumentation ----------------------------------------
 
@@ -534,49 +635,6 @@ class Simulation:
                 f"{self._n} interests issued but {answered} answered"
             )
         self._check_capacity(range(len(self.topo)))
-
-    # -- schedule replay ----------------------------------------------
-
-    def run_schedule(self, schedule) -> MetricsReport:
-        """Replay arrivals in order, firing refresh ticks every tau.
-
-        Ticks land at tau, 2 tau, ... and take effect before arrivals
-        that share the same time.  Times are checked and converted as
-        :meth:`request` does, once per time object.  A row that would
-        take the run past ``MAX_TICKS_PER_STEP`` ticks per row replayed
-        so far, itself included, raises ``ValueError`` before any of
-        its ticks fire; every run a ``ScenarioConfig`` admits stays
-        within that bound.
-        """
-        tau = self.config.tau
-        tick_no = 1
-        next_tick = tau
-        index = self.catalog.index
-        handle = self._handle
-        start = self._n
-        last = object()  # no row's time is this object
-        for t, fue, name in schedule:
-            if t is not last:
-                last, now = t, _plain_time(t)
-            # Tick k fires at tau * k, so the run passes its tick limit
-            # iff the next tick past it is due; a float product cannot
-            # raise, and an overflow to inf is simply never due.
-            if next_tick <= now and tau * (
-                MAX_TICKS_PER_STEP * (self._n - start + 1) + 1
-            ) <= now:
-                raise ValueError(
-                    f"policy tau {tau!r} is too short for this schedule: "
-                    f"reaching time {now!r} would fire more than "
-                    f"{MAX_TICKS_PER_STEP} refresh ticks per row replayed"
-                )
-            while next_tick <= now:
-                self.tick(next_tick)
-                tick_no += 1
-                next_tick = tau * tick_no
-            handle(self, fue, index[name], now)
-        if self.debug:
-            self._check_final()
-        return self.report()
 
 
 def run_single(

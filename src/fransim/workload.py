@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, cycle, islice
+from itertools import accumulate, chain, cycle, islice, repeat
+from operator import eq, index
 
 from .errors import ConfigError
 from .topology import Catalog, NodeId
@@ -198,28 +200,86 @@ def sample_ranks(
     return [bisect_right(thresholds, m) + 1 for m in islice(rng, count)]
 
 
-def build_schedule(
-    spec: ZipfSpec, fue_ids: list[NodeId]
-) -> list[tuple[float, NodeId, str]]:
+class Schedule(Sequence):
+    """All request arrivals of a run, sorted by (time, device id): a
+    read-only sequence of ``(time, fue, name)`` rows.
+
+    It holds the sorted device ids, one time object per arrival step
+    (every row of a step shares it) and, per device, a compact column
+    of its 0-based content ranks.  Names are made only when rows are
+    read by name; a replay reads :meth:`ranked` instead.  A schedule
+    equals another schedule, or a list, with the same rows.
+    """
+
+    __slots__ = ("fues", "times", "columns", "catalog_size")
+
+    def __init__(self, fues: list[NodeId], times: list, columns: list,
+                 catalog_size: int):
+        self.fues = fues
+        self.times = times
+        self.columns = columns
+        self.catalog_size = catalog_size
+
+    def __len__(self) -> int:
+        return len(self.times) * len(self.fues)
+
+    def ranked(self) -> Iterator[tuple]:
+        """The rows as ``(time, fue, rank)``, ``rank`` 0-based."""
+        width = len(self.fues)
+        return zip(
+            chain.from_iterable(map(repeat, self.times, repeat(width))),
+            cycle(self.fues),
+            chain.from_iterable(zip(*self.columns)),
+        )
+
+    def __iter__(self) -> Iterator[tuple]:
+        names = Catalog(self.catalog_size).names
+        for t, fue, rank in self.ranked():
+            yield t, fue, names[rank]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step > 0:
+                return list(islice(self, start, stop, step))
+            return list(self)[key]
+        size = len(self)
+        i = index(key)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError("schedule index out of range")
+        step, j = divmod(i, len(self.fues))
+        return self.times[step], self.fues[j], f"c{self.columns[j][step] + 1}"
+
+    def __eq__(self, other):
+        if isinstance(other, Schedule):
+            return (self.fues, self.times, self.columns) == (
+                other.fues, other.times, other.columns)
+        if isinstance(other, list):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+
+def build_schedule(spec: ZipfSpec, fue_ids: list[NodeId]) -> Schedule:
     """All request arrivals for a run, sorted by (time, device id).
 
-    Each row is ``(time, fue, name)``.  The schedule depends only on
+    Each row of the :class:`Schedule` is ``(time, fue, name)``, and
+    each device's names are its own substream's draws in order; time
+    ``i * spec.inter_arrival`` is step ``i``.  The schedule depends only on
     the spec and the device ids, never on caching behaviour, so paired
     experiments see identical request streams.
     """
-    names = Catalog(spec.catalog_size).names
     thresholds = _thresholds(spec.exponent, spec.catalog_size)
     n = spec.interests_per_fue
     fues = sorted(fue_ids)
+    typecode = "H" if spec.catalog_size <= 1 << 16 else "q"
     columns = [
-        [names[bisect_right(thresholds, m)]
-         for m in islice(fue_rng(spec.seed, fue), n)]
+        array(typecode, map(bisect_right, repeat(thresholds),
+                            islice(fue_rng(spec.seed, fue), n)))
         for fue in fues
     ]
-    # Every row of a step shares that step's one time object.
-    times = (i * spec.inter_arrival for i in range(n))
-    return [
-        (t, fue, name)
-        for t, draws in zip(times, zip(*columns))
-        for fue, name in zip(fues, draws)
-    ]
+    times = [i * spec.inter_arrival for i in range(n)]
+    return Schedule(fues, times, columns, spec.catalog_size)

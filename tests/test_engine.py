@@ -666,8 +666,8 @@ SLOT_RECORDS = [
 def test_walk_templates_fill_to_their_records_lines(
     fues_per_fap, d2d, k, seq, now
 ):
-    # Each walk's template, filled with a name and the shared tail, is
-    # the lines of its records one by one.
+    # Each walk's pieces, joined by a name with every "\0" replaced by
+    # the shared tail, are the lines of its records one by one.
     topo = build_topology(len(fues_per_fap), fues_per_fap,
                           Capacities(1, 1, 1), d2d)
     sim = Simulation(topo, Catalog(1), "fifo", trace=[])
@@ -677,8 +677,8 @@ def test_walk_templates_fill_to_their_records_lines(
         nodes = {"u": fue, "a": topo.parent[fue], "b": topo.bbu(),
                  "p": topo.producer()}
         for slot, records in enumerate(SLOT_RECORDS):
-            template, count, _, _ = sim._walks[fue][slot]
-            assert template % ((name, tail) * count) == "".join(
+            pieces, _, _ = sim._walks[fue][slot]
+            assert name.join(pieces).replace("\0", tail) == "".join(
                 engine._EVENT_LINE % (kind, name, nodes[node], outcome, seq,
                                       now)
                 for kind, node, outcome in records
@@ -993,21 +993,22 @@ def test_engine_refresh_is_refreshed_rate_bit_for_bit(weights, old, k):
         assert sim.rate_of(node, "c1").hex() == expected, node
 
 
-# -- the request kernels ----------------------------------------------------
+# -- the replay loops -------------------------------------------------------
 
-KERNELS = {"fifo": Simulation._request_plain, "lru": Simulation._request_plain,
-           "rate-hop": Simulation._request_ratehop}
+KERNELS = {"fifo": Simulation._replay_plain, "lru": Simulation._replay_plain,
+           "rate-hop": Simulation._replay_ratehop}
 
 
 def test_the_kernel_is_chosen_once_per_run():
-    # The policy picks the kernel; debug or a trace only wraps it in the
-    # observer.  Both are stored as plain functions, not bound methods.
+    # The policy picks the replay loop, whatever debug or a trace asks;
+    # it is stored as a plain function, not a bound method.  Only debug
+    # or a trace precomputes the walks.
     topo = chain((1, 1, 1))
-    for policy, kernel in KERNELS.items():
+    for policy, loop in KERNELS.items():
         for kw in ({}, {"debug": True}, {"trace": []}, {"trace": print}):
             sim = Simulation(topo, Catalog(2), policy, **kw)
-            assert sim._kernel is kernel
-            assert sim._handle is (Simulation._observed if kw else kernel)
+            assert sim._replay is loop
+            assert (sim._walks is None) == (not kw)
 
 
 def kernel_state(sim):
@@ -1035,8 +1036,8 @@ KERNEL_SCENARIOS = dict(
 
 def kernel_sims(fues_per_fap, caps, policy, rule, d2d, cache_d2d,
                 catalog_size, tau=100.0):
-    """The bare kernel, then the observed one under a trace and under
-    ``debug``, on one scenario."""
+    """A plain run, then one under a trace and one under ``debug``, on
+    one scenario."""
     topo = build_topology(len(fues_per_fap), fues_per_fap, Capacities(*caps),
                           d2d)
     config = PolicyConfig(tau=tau, score_rule=rule)
@@ -1045,7 +1046,7 @@ def kernel_sims(fues_per_fap, caps, policy, rule, d2d, cache_d2d,
                    cache_d2d_data=cache_d2d, **mode_kwargs(mode))
         for mode in ("plain", "traced", "debug")
     ]
-    assert sims[0]._handle is KERNELS[policy]
+    assert all(sim._replay is KERNELS[policy] for sim in sims)
     return topo, sims
 
 
@@ -1128,6 +1129,101 @@ def test_a_simulation_is_freed_without_the_cycle_collector(policy, mode):
         assert freed() is None
     finally:
         gc.enable()
+
+
+def scripted(sim, rows, tau):
+    """Replay ``rows`` by hand: each tick due by a row's time, then the
+    row's request, as ``run_schedule`` orders them."""
+    tick_no = 1
+    for t, fue, name in rows:
+        while tau * tick_no <= t:
+            sim.tick(tau * tick_no)
+            tick_no += 1
+        sim.request(fue, name, t)
+
+
+@pytest.mark.parametrize("mode", KERNEL_MODES)
+@pytest.mark.parametrize("d2d", [False, True], ids=["d2d-off", "d2d-on"])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_a_schedule_its_rows_and_scripted_calls_run_alike(policy, d2d, mode):
+    # The schedule's rank rows, the same rows by name, and the public
+    # calls one by one leave the same state and write the same trace.
+    topo, schedule, args = paper_cell(policy, d2d)
+    runs = []
+    for drive in ("schedule", "rows", "calls"):
+        lines: list[str] = []
+        kwargs = mode_kwargs(mode)
+        if mode == "traced":
+            kwargs = {"trace": lines}
+        sim = Simulation(*args, cache_d2d_data=d2d, **kwargs)
+        if drive == "schedule":
+            sim.run_schedule(schedule)
+        elif drive == "rows":
+            sim.run_schedule(list(schedule))
+        else:
+            scripted(sim, schedule, args[3].tau)
+        runs.append((kernel_state(sim), lines))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0][0].total_interests == len(schedule)
+    assert (mode == "traced") == bool(runs[0][1])
+
+
+@pytest.mark.parametrize("mode", KERNEL_MODES)
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_a_replayed_row_from_a_non_device_applies_nothing(policy, mode):
+    # A tick is due at the bad row's time: it does not fire either.
+    topo = chain((1, 1, 1))
+    fue, fap = topo.fues()[0], topo.faps()[0]
+    args = (topo, Catalog(3), policy, PolicyConfig(tau=1.0))
+    runs = []
+    for rows in ([(0.0, fue, "c1")], [(0.0, fue, "c1"), (1.0, fap, "c2")]):
+        lines: list[str] = []
+        kwargs = {"trace": lines} if mode == "traced" else mode_kwargs(mode)
+        sim = Simulation(*args, **kwargs)
+        if len(rows) == 1:
+            sim.run_schedule(rows)
+        else:
+            with pytest.raises(ValueError, match=f"node {fap} is not a device"):
+                sim.run_schedule(rows)
+        runs.append((kernel_state(sim), lines))
+    assert runs[0] == runs[1]
+    assert runs[1][0][1] == 1  # one request, no tick
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    **{k: v for k, v in KERNEL_SCENARIOS.items() if k != "policy"},
+    mode=st.sampled_from(KERNEL_MODES),
+    steps=st.lists(
+        st.none() | st.tuples(st.integers(0, 8), st.integers(1, 60)),
+        max_size=80,
+    ),
+)
+def test_every_cached_minimum_is_its_stores_minimum(
+    fues_per_fap, caps, rule, d2d, cache_d2d, catalog_size, mode, steps,
+):
+    # After every call, a store whose minimum score is cached is full,
+    # and the cached value is the least rate x weight over its entries.
+    topo = build_topology(len(fues_per_fap), fues_per_fap, Capacities(*caps),
+                          d2d)
+    sim = Simulation(topo, Catalog(catalog_size), "rate-hop",
+                     PolicyConfig(score_rule=rule), cache_d2d_data=cache_d2d,
+                     **mode_kwargs(mode))
+    fues = topo.fues()
+    for now, step in enumerate(steps):
+        if step is None:
+            sim.tick(now)
+        else:
+            device, rank = step
+            sim.request(fues[device % len(fues)],
+                        f"c{rank % catalog_size + 1}", now)
+        for node, low in enumerate(sim._min_score):
+            if low is not None:
+                store = sim._cs[node]
+                assert len(store) == topo.capacity[node] > 0, node
+                assert low == min(
+                    sim._demand[node][r][0] * w for r, w in store.items()
+                ), node
 
 
 # -- debug instrumentation --------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fransim.errors import ConfigError
+from fransim.topology import Catalog
 from fransim.workload import (
+    Schedule,
     ZipfSpec,
     build_schedule,
     fue_rng,
@@ -111,6 +114,96 @@ def test_inter_arrival_spacing():
     spec = ZipfSpec(catalog_size=5, interests_per_fue=4, inter_arrival=2.5)
     schedule = build_schedule(spec, [4])
     assert [t for t, _, _ in schedule] == [0.0, 2.5, 5.0, 7.5]
+
+
+# -- the schedule as a sequence of rows -------------------------------------
+
+def rows_drawn_one_by_one(spec, fue_ids):
+    """The schedule's rows as a list of ``(time, fue, name)`` tuples,
+    each device's names drawn with ``sample_ranks``, rows sorted by
+    (time, device id)."""
+    names = Catalog(spec.catalog_size).names
+    fues = sorted(fue_ids)
+    n = spec.interests_per_fue
+    columns = [
+        [names[rank - 1] for rank in sample_ranks(
+            spec.exponent, spec.catalog_size, fue_rng(spec.seed, fue), n)]
+        for fue in fues
+    ]
+    return [
+        (i * spec.inter_arrival, fue, column[i])
+        for i in range(n)
+        for fue, column in zip(fues, columns)
+    ]
+
+
+SCHEDULE_SPECS = st.builds(
+    ZipfSpec,
+    exponent=st.sampled_from([0.0, 0.6, 0.8, 1.5]),
+    catalog_size=st.integers(1, 300),
+    seed=st.integers(0, 2**16),
+    interests_per_fue=st.integers(1, 20),
+    inter_arrival=st.sampled_from([1.0, 2.5, 0.1, 1, 3]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=SCHEDULE_SPECS,
+    fues=st.lists(st.integers(3, 40), min_size=1, max_size=6, unique=True),
+    data=st.data(),
+)
+def test_the_schedule_reads_as_its_rows(spec, fues, data):
+    schedule = build_schedule(spec, fues)
+    rows = rows_drawn_one_by_one(spec, fues)
+    assert isinstance(schedule, Schedule)
+    assert list(schedule) == rows
+    assert len(schedule) == len(rows)
+    assert [(t, fue, f"c{rank + 1}") for t, fue, rank in schedule.ranked()] \
+        == rows
+    for i in range(-len(rows), len(rows)):
+        assert schedule[i] == rows[i], i
+    for i in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            schedule[i]
+    cut = data.draw(st.slices(len(rows)))
+    assert schedule[cut] == rows[cut]
+    assert schedule == rows and rows == schedule
+    assert schedule == build_schedule(spec, list(reversed(fues)))
+    assert schedule != rows[:-1] and rows[:-1] != schedule
+    assert schedule != rows[:-1] + [(rows[-1][0], rows[-1][1], "c0")]
+    # Every row of a step shares one time object, a new one per step.
+    times = [t for t, _, _ in schedule]
+    width = len(fues)
+    steps = [times[i:i + width] for i in range(0, len(times), width)]
+    assert all(all(t is step[0] for t in step) for step in steps)
+    assert len({id(step[0]) for step in steps}) == len(steps)
+    if type(spec.inter_arrival) is int:
+        assert all(type(t) is int for t in times)
+
+
+def test_ranks_beyond_two_bytes_keep_their_value():
+    spec = ZipfSpec(exponent=0.0, catalog_size=70_000, interests_per_fue=40)
+    schedule = build_schedule(spec, [4, 5])
+    assert list(schedule) == rows_drawn_one_by_one(spec, [4, 5])
+    assert max(rank for _, _, rank in schedule.ranked()) >= 1 << 16
+
+
+@pytest.mark.parametrize("spec,n_fues", [
+    (ZipfSpec(), 30),
+    (ZipfSpec(exponent=0.6, catalog_size=10_000, interests_per_fue=400), 150),
+], ids=["paper", "wide"])
+def test_a_schedule_holds_under_a_megabyte(spec, n_fues):
+    fues = list(range(7, 7 + n_fues))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        schedule = build_schedule(spec, fues)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(schedule) == 60_000
+    assert held < 1_000_000
 
 
 # -- the pure-Python draws against numpy, their reference -----------------
