@@ -37,7 +37,17 @@ first (so oldest) entry whose score is the minimum.  An admission
 finds that entry, the minimum and the runner-up in one pass over the
 store and caches the store's new minimum; a refresh clears the cache.
 Data arrivals only bump the rate of content that is not in the store,
-which cannot change the minimum.  Pending-interest state collapses
+which cannot change the minimum.  With D2D on, rate-hop's access point
+keeps a count of what its devices hold (rank -> holders), updated by
+``_admit`` on each device insert and eviction, so a miss in the
+requester's store is a D2D hit iff the rank is counted; rate-hop
+device stores rarely change, and a D2D serve changes no peer's store.
+FIFO and LRU device stores change on almost every miss, so their
+access point asks the stores in turn, lowest device id first, and
+does not keep a count.  Under ``debug`` each tick and the final check
+recount every group's holders from its stores, and a D2D serve checks
+that a peer holds the rank; a miss is not checked, so a drifted count
+is caught at the next tick.  Pending-interest state collapses
 within one processed chain, so the PIT bookkeeping runs only under
 ``debug``, where it feeds the single-forward and flow conservation
 checks.
@@ -224,17 +234,26 @@ class Simulation:
         # hold it in a local.
         self._min_score: list[float | None] = [None] * n
         # With D2D on, each device refers to its access point's group:
-        # the stores of the access point's devices in device-id order,
-        # so a D2D lookup that asks them in turn finds the lowest-id
+        # under rate-hop the group's holder count (rank -> how many of
+        # its devices hold it), shared by its devices and kept current
+        # by ``_admit``; under FIFO and LRU the devices' stores in
+        # device-id order, so asking them in turn finds the lowest-id
         # holder.  Stores are mutated in place and never replaced, so
-        # the tuple stays current.  Empty everywhere without D2D.
+        # the tuple stays current.  ``_held`` is None and ``group_of``
+        # empty where neither is kept.
+        self._held: list[dict | None] = [None] * n
         group_of: list[tuple[dict, ...]] = [()] * n
         if topo.d2d_enabled:
             for fap in topo.faps():
                 group = topo.children(fap)
-                stores = tuple(self._cs[fue] for fue in group)
-                for fue in group:
-                    group_of[fue] = stores
+                if self._is_ratehop:
+                    held: dict[int, int] = {}
+                    for fue in group:
+                        self._held[fue] = held
+                else:
+                    stores = tuple(self._cs[fue] for fue in group)
+                    for fue in group:
+                        group_of[fue] = stores
         paths = {fue: tuple(topo.upstream_path(fue)) for fue in topo.fues()}
         # Data fetched over 2 and 3 hops is weighted so.
         rate_only = self.config.score_rule is ScoreRule.RATE_ONLY
@@ -245,8 +264,9 @@ class Simulation:
         self._hits = [0] * len(TIER_KEYS)  # one count per tier, in order
 
         # Per device, for its loop: its own, F-AP and BBU stores, and its
-        # D2D group; for FIFO and LRU each store's capacity, for rate-hop
-        # each node's demand map and the upper nodes' ids.
+        # D2D group (for rate-hop its holder count, or an empty tuple
+        # without D2D); for FIFO and LRU each store's capacity, for
+        # rate-hop each node's demand map and the upper nodes' ids.
         cs = self._cs
         # The loops are kept as plain functions, not bound methods: a
         # bound method on the instance would hold it in a reference
@@ -258,7 +278,7 @@ class Simulation:
                     cs[fue], demand[fue],
                     fap, cs[fap], demand[fap],
                     bbu, cs[bbu], demand[bbu],
-                    group_of[fue],
+                    () if self._held[fue] is None else self._held[fue],
                 )
                 for fue, (_, fap, bbu, _) in paths.items()
             }
@@ -279,6 +299,12 @@ class Simulation:
             fue: _walks(path, trace is not None)
             for fue, path in paths.items()
         } if debug or trace is not None else None
+        # Under ``debug``, each device's peers' stores, against which a
+        # D2D serve from the holder count is checked.
+        self._peers = {
+            fue: tuple(cs[peer] for peer in topo.children(fap) if peer != fue)
+            for fue, (_, fap, _, _) in paths.items()
+        } if debug and self._is_ratehop and topo.d2d_enabled else None
 
     # -- public inspection / scripting helpers ------------------------
 
@@ -338,6 +364,7 @@ class Simulation:
             self._emit(_TICK_LINE % (self.seq, now))
         if self.debug:
             self._check_capacity(range(len(self.topo)))
+            self._check_held()
 
     def request(self, fue: int, name: str, now: float) -> None:
         """Process one consumer request to completion, as a one-row
@@ -465,10 +492,10 @@ class Simulation:
                          .replace("\0", step_tail % self.seq))
 
     def _replay_ratehop(self, rows, tau: float) -> None:
-        """The rate-hop loop: ``_replay_plain``'s walk, where every node
-        the request misses counts it in its window, every node the data
-        passes bumps its rate, and ``_admit`` decides what each store
-        keeps.
+        """The rate-hop loop: ``_replay_plain``'s walk, where the D2D
+        group is asked through its holder count, every node the request
+        misses counts it in its window, every node the data passes bumps
+        its rate, and ``_admit`` decides what each store keeps.
 
         Most offers to a full store lose, and they lose here, without
         the call: only a full store has its minimum score cached, so an
@@ -492,7 +519,7 @@ class Simulation:
         for t, fue, rank in rows:
             try:
                 (own, own_demand, fap, fap_cs, fap_demand,
-                 bbu, bbu_cs, bbu_demand, group) = table[fue]
+                 bbu, bbu_cs, bbu_demand, held) = table[fue]
             except KeyError:
                 raise _not_a_device(fue) from None
             if t is not last:
@@ -517,35 +544,34 @@ class Simulation:
                     own_rate[0] += 1.0
                     if (m := low[fue]) is None or m < own_rate[0]:
                         admit(fue, rank, 1)
+                elif rank in held:
+                    # Own store missed, so a peer holds it; which one
+                    # serves does not matter, as its store is unchanged.
+                    slot = 1
+                    own_rate[0] += 1.0
+                    if cache_d2d and (
+                        (m := low[fue]) is None or m < own_rate[0]
+                    ):
+                        admit(fue, rank, 1)
                 else:
-                    for peer_store in group:
-                        if rank in peer_store:
-                            slot = 1
-                            own_rate[0] += 1.0
-                            if cache_d2d and (
-                                (m := low[fue]) is None or m < own_rate[0]
-                            ):
-                                admit(fue, rank, 1)
-                            break
+                    bbu_rate = bbu_demand[rank]
+                    bbu_rate[1] += 1
+                    if rank in bbu_cs:
+                        slot = 3
                     else:
-                        bbu_rate = bbu_demand[rank]
-                        bbu_rate[1] += 1
-                        if rank in bbu_cs:
-                            slot = 3
-                        else:
-                            slot = 4
-                            bbu_rate[0] += 1.0
-                            if (m := low[bbu]) is None or m < bbu_rate[0]:
-                                admit(bbu, rank, 1)
-                        # The weight of data from the BBU, or from the
-                        # producer through it, at the F-AP and device.
-                        near, far = (1, two) if slot == 3 else (two, three)
-                        fap_rate[0] += 1.0
-                        if (m := low[fap]) is None or m < fap_rate[0] * near:
-                            admit(fap, rank, near)
-                        own_rate[0] += 1.0
-                        if (m := low[fue]) is None or m < own_rate[0] * far:
-                            admit(fue, rank, far)
+                        slot = 4
+                        bbu_rate[0] += 1.0
+                        if (m := low[bbu]) is None or m < bbu_rate[0]:
+                            admit(bbu, rank, 1)
+                    # The weight of data from the BBU, or from the
+                    # producer through it, at the F-AP and device.
+                    near, far = (1, two) if slot == 3 else (two, three)
+                    fap_rate[0] += 1.0
+                    if (m := low[fap]) is None or m < fap_rate[0] * near:
+                        admit(fap, rank, near)
+                    own_rate[0] += 1.0
+                    if (m := low[fue]) is None or m < own_rate[0] * far:
+                        admit(fue, rank, far)
             hits[slot] += 1
             if observed:
                 if debug:
@@ -559,13 +585,17 @@ class Simulation:
         fetch weight ``weight``: a full store takes it only if its score
         beats the store's minimum, evicting the first entry at it.  One
         pass finds that entry, the minimum and the runner-up, so a full
-        store leaves with its minimum cached."""
+        store leaves with its minimum cached.  A device's group holder
+        count, if it has one, follows each insert and eviction."""
         cap = self.topo.capacity[node]
         if cap == 0:
             return
         store = self._cs[node]
+        held = self._held[node]
         if len(store) < cap:
             store[rank] = weight
+            if held is not None:
+                held[rank] = held.get(rank, 0) + 1
             return
         demand = self._demand[node]
         incoming = demand[rank][0] * weight
@@ -582,13 +612,21 @@ class Simulation:
             del store[victim]
             store[rank] = weight
             low = min(second, incoming)
+            if held is not None:
+                if held[victim] == 1:
+                    del held[victim]
+                else:
+                    held[victim] -= 1
+                held[rank] = held.get(rank, 0) + 1
         self._min_score[node] = low
 
     def _observed(self, fue: int, rank: int, slot: int) -> None:
         """The debug checks over the walk that serving ``rank`` to
         ``fue`` at tier ``slot`` implies: open a pending interest at
         each forwarding node (refusing a second), consume each as the
-        data passes back down and check the stores the data reached."""
+        data passes back down and check the stores the data reached.
+        Under rate-hop, a D2D serve also checks that a peer's store
+        holds ``rank``."""
         _, forwards, reached = self._walks[fue][slot]
         for node in forwards:
             pit = self._pit[node]
@@ -601,6 +639,16 @@ class Simulation:
         for node in reversed(forwards):
             self._consume(node, rank)
         self._check_capacity(reached)
+        if slot == 1 and self._peers is not None:
+            for store in self._peers[fue]:
+                if rank in store:
+                    break
+            else:
+                raise InvariantViolation(
+                    f"node {fue} got {self.catalog.names[rank]} from a "
+                    f"peer, but no other device of access point "
+                    f"{self.topo.parent[fue]} holds it (event {self.seq})"
+                )
 
     # -- debug instrumentation ----------------------------------------
 
@@ -622,6 +670,25 @@ class Simulation:
                     f"capacity exceeded at node {node} (event {self.seq})"
                 )
 
+    def _check_held(self) -> None:
+        """Recount each kept group holder count from its devices'
+        stores; a count that disagrees names its access point."""
+        cs = self._cs
+        for fap in self.topo.faps():
+            group = self.topo.children(fap)
+            held = self._held[group[0]]
+            if held is None:
+                continue
+            counted: dict[int, int] = {}
+            for fue in group:
+                for rank in cs[fue]:
+                    counted[rank] = counted.get(rank, 0) + 1
+            if counted != held:
+                raise InvariantViolation(
+                    f"the holder count of access point {fap} disagrees "
+                    f"with its devices' stores (event {self.seq})"
+                )
+
     def _check_final(self) -> None:
         for node, pit in enumerate(self._pit):
             if pit:
@@ -635,6 +702,7 @@ class Simulation:
                 f"{self._n} interests issued but {answered} answered"
             )
         self._check_capacity(range(len(self.topo)))
+        self._check_held()
 
 
 def run_single(

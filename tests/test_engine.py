@@ -742,7 +742,12 @@ def test_a_debug_stop_leaves_the_records_before_the_failing_request(
         for i, row in enumerate(schedule):
             if i == fail:
                 extra = [r for r in range(100) if r != sim.catalog.index[name]]
-                sim._cs[fue].update(dict.fromkeys(extra[:3], 1))
+                store, held = sim._cs[fue], sim._held[fue]
+                if held is not None:  # rate-hop counts its group's holders
+                    for r in extra[:3]:
+                        if r not in store:
+                            held[r] = held.get(r, 0) + 1
+                store.update(dict.fromkeys(extra[:3], 1))
             yield row
 
     path = tmp_path / "trace.jsonl"
@@ -886,6 +891,9 @@ def run_pair(policy, modes=KERNEL_MODES, **kw):
                     ), (mode, node, name)
 
 
+WIDE_GROUPS = {"n_faps": 2, "fues_per_fap": [12, 30], "d2d": True,
+               "catalog_size": 40, "interests": 30}
+
 EQUIVALENCE_CASES = [
     pytest.param("fifo", {}, id="fifo-base"),
     pytest.param("lru", {}, id="lru-base"),
@@ -917,6 +925,14 @@ EQUIVALENCE_CASES = [
     pytest.param("rate-hop",
                  {"n_faps": 1, "fues_per_fap": [4], "d2d": True, "seed": 7},
                  id="one-big-group"),
+    # Wide D2D groups, with a catalog that makes the device stores
+    # evict: rate-hop asks its holder count, and LRU still asks the
+    # stores in turn, whose lowest-id holder the refresh pins.
+    pytest.param("rate-hop", WIDE_GROUPS, id="ratehop-wide-groups"),
+    pytest.param("rate-hop", {**WIDE_GROUPS, "cache_d2d": True},
+                 id="ratehop-wide-groups-cache"),
+    pytest.param("lru", {**WIDE_GROUPS, "caps": (3, 2, 2)},
+                 id="lru-wide-groups"),
     pytest.param("lru", {"exponent": 0.0, "interests": 120, "seed": 11},
                  id="uniform-churn"),
     pytest.param("rate-hop", {"tau": 1000.0, "seed": 13}, id="no-ticks"),
@@ -1226,6 +1242,74 @@ def test_every_cached_minimum_is_its_stores_minimum(
                 ), node
 
 
+def holder_counts(sim, topo):
+    """Per access point, how many of its devices' stores hold each rank,
+    rebuilt from the stores."""
+    counts = {}
+    for fap in topo.faps():
+        counted = {}
+        for fue in topo.children(fap):
+            for rank in sim._cs[fue]:
+                counted[rank] = counted.get(rank, 0) + 1
+        counts[fap] = counted
+    return counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    **{k: v for k, v in KERNEL_SCENARIOS.items() if k != "policy"},
+    mode=st.sampled_from(KERNEL_MODES),
+    # Few contents, so that rates build up and device stores evict.
+    steps=st.lists(
+        st.none() | st.tuples(st.integers(0, 8), st.integers(1, 6)),
+        max_size=80,
+    ),
+)
+def test_every_holder_count_is_its_groups_stores(
+    fues_per_fap, caps, rule, d2d, cache_d2d, catalog_size, mode, steps,
+):
+    # After every call, with D2D on, each access point's devices share
+    # one holder count, equal to the count rebuilt from their stores and
+    # with no zero entries; with D2D off no device keeps one.
+    topo = build_topology(len(fues_per_fap), fues_per_fap, Capacities(*caps),
+                          d2d)
+    sim = Simulation(topo, Catalog(catalog_size), "rate-hop",
+                     PolicyConfig(score_rule=rule), cache_d2d_data=cache_d2d,
+                     **mode_kwargs(mode))
+    fues = topo.fues()
+    for now, step in enumerate(steps):
+        if step is None:
+            sim.tick(now)
+        else:
+            device, rank = step
+            sim.request(fues[device % len(fues)],
+                        f"c{rank % catalog_size + 1}", now)
+        if not d2d:
+            assert sim._held == [None] * len(topo)
+            continue
+        for fap, counted in holder_counts(sim, topo).items():
+            group = topo.children(fap)
+            held = sim._held[group[0]]
+            assert all(sim._held[fue] is held for fue in group), fap
+            assert held == counted, fap
+            assert 0 not in held.values(), fap
+        assert all(sim._held[node] is None
+                   for node in (topo.bbu(), *topo.faps())), "upper node"
+
+
+@pytest.mark.parametrize("mode", KERNEL_MODES)
+@pytest.mark.parametrize("policy,d2d", [
+    ("fifo", False), ("fifo", True), ("lru", False), ("lru", True),
+    ("rate-hop", False),
+])
+def test_only_ratehop_with_d2d_keeps_a_holder_count(policy, d2d, mode):
+    topo, schedule, args = paper_cell(policy, d2d)
+    sim = Simulation(*args, **mode_kwargs(mode))
+    report = sim.run_schedule(schedule)
+    assert report.hits_by_tier["d2d"] > 0 or not d2d
+    assert sim._held == [None] * len(topo)
+
+
 # -- debug instrumentation --------------------------------------------------
 
 def debug_sim():
@@ -1246,6 +1330,51 @@ def test_debug_checks_the_stores_a_request_reached():
     sim._cs[topo.bbu()].update({0: 1, 1: 1})  # capacity is 1
     with pytest.raises(InvariantViolation, match="capacity"):
         sim.request(topo.fues()[0], "c3", 0.0)
+
+
+def ratehop_group_sim():
+    """A debug rate-hop run on one three-device D2D group, after c1 was
+    fetched to its first device: the group's holder count is {c1: 1}."""
+    topo = build_topology(1, [3], Capacities(bbu=1, fap=1, fue=1), True)
+    sim = Simulation(topo, Catalog(4), "rate-hop", debug=True)
+    sim.request(topo.fues()[0], "c1", 0.0)
+    fap = topo.faps()[0]
+    held = sim._held[topo.fues()[0]]
+    assert held == {0: 1}
+    return topo, sim, fap, held
+
+
+@pytest.mark.parametrize("drift", ["phantom", "dropped"])
+def test_debug_detects_holder_count_drift_at_the_next_tick(drift):
+    topo, sim, fap, held = ratehop_group_sim()
+    if drift == "phantom":
+        held[3] = 1  # no device holds c4
+    else:
+        del held[0]  # the first device still holds c1
+    sim.request(topo.fues()[1], "c2", 1.0)  # no check before the tick
+    with pytest.raises(InvariantViolation,
+                       match=f"holder count of access point {fap}"):
+        sim.tick(2.0)
+
+
+def test_final_check_flags_holder_count_drift():
+    topo, sim, fap, held = ratehop_group_sim()
+    held[0] += 1  # counted twice, held once
+    with pytest.raises(InvariantViolation,
+                       match=f"holder count of access point {fap}"):
+        sim._check_final()
+
+
+def test_debug_detects_a_d2d_serve_from_no_peer():
+    topo, sim, fap, held = ratehop_group_sim()
+    held[2] = 1  # a phantom holder of c3 makes the kernel serve it D2D
+    u2 = topo.fues()[1]
+    with pytest.raises(
+        InvariantViolation,
+        match=rf"node {u2} got c3 from a peer, but no other device of "
+              rf"access point {fap} holds it \(event 2\)",
+    ):
+        sim.request(u2, "c3", 1.0)
 
 
 def test_debug_detects_double_forward():
