@@ -78,8 +78,10 @@ def _trace_path(base: str, seed: int, many: bool) -> str:
 
 def _refuse_config_overwrite(config: str, outputs, inputs=()) -> None:
     """Refuse any of ``outputs``, (what, path) pairs, that is the
-    config file the command was read from or one of ``inputs``, the
-    (what, path) pairs of the other files it reads."""
+    config file the command was read from, one of ``inputs``, the
+    (what, path) pairs of the other files it reads, or an earlier
+    output.  Paths are compared after ``Path.resolve()``, so a symlink
+    is the file it points to."""
     sources = [
         (Path(path).resolve(), what, path)
         for what, path in (("config file", config), *inputs)
@@ -89,6 +91,7 @@ def _refuse_config_overwrite(config: str, outputs, inputs=()) -> None:
         for source, noun, name in sources:
             if target == source:
                 raise ConfigError(f"{what} {path} is the {noun} {name}")
+        sources.append((target, what, path))
 
 
 def cmd_run(args) -> int:
@@ -98,11 +101,6 @@ def cmd_run(args) -> int:
     many = len(cfg.seeds) > 1
     traces = {seed: _trace_path(cfg.trace_output, seed, many)
               for seed in cfg.seeds} if cfg.trace else {}
-    for path in traces.values():
-        if Path(path).resolve() == Path(cfg.output).resolve():
-            raise ConfigError(
-                f"trace path {path} is the metrics CSV path {cfg.output}"
-            )
     _refuse_config_overwrite(args.config, [
         ("metrics CSV path", cfg.output),
         *(("trace path", path) for path in traces.values()),
@@ -162,12 +160,7 @@ def cmd_sweep(args) -> int:
     d2d_options = {
         "both": (False, True), "off": (False,), "on": (True,),
     }[args.d2d]
-    chart = Path(cfg.output).name
     charts = plotting.chart_names(d2d_options) if args.plot else ()
-    if chart in charts:
-        raise ConfigError(
-            f"--plot chart {chart} is the metrics CSV path {cfg.output}"
-        )
     out_dir = Path(cfg.output).parent
     _refuse_config_overwrite(args.config, [
         ("metrics CSV path", cfg.output),

@@ -17,14 +17,15 @@ demand, whose deliveries bump rates and whose stores admit by score
 the refresh ticks due before it, then serves each request inline: it
 asks the tiers in order, counts the request at the one that serves it
 and offers the data to each store on the way down.  Under ``debug``,
-``_observed`` then runs the PIT and capacity checks over the walk the
-serving tier implies, precomputed per device and tier; with a trace,
-the loop writes that walk's records in one call.  Each walk's records
-are kept as their text split at the content-name holes, with a
-``"\\0"`` where each record's shared seq/time tail goes, so a request's
-lines are one join and one replace.  ``run_schedule`` feeds the loop a
-``Schedule``'s rank rows, or maps any other ``(time, device, name)``
-rows to ranks on the way in; ``request`` is a one-row replay.
+``_observed`` then checks the capacity of each store the data reached,
+read off the device's path from the serving tier's depth; with a
+trace, the loop writes the walk's records, precomputed per device and
+tier, in one call.  Each walk's records are kept as their text split
+at the content-name holes, with a ``"\\0"`` where each record's shared
+seq/time tail goes, so a request's lines are one join and one replace.
+``run_schedule`` feeds the loop a ``Schedule``'s rank rows, or maps
+any other ``(time, device, name)`` rows to ranks on the way in;
+``request`` is a one-row replay.
 
 For speed the hot path keys all per-node state by integer content
 rank rather than by name and relies on two exact shortcuts: victims
@@ -47,10 +48,8 @@ access point asks the stores in turn, lowest device id first, and
 does not keep a count.  Under ``debug`` each tick and the final check
 recount every group's holders from its stores, and a D2D serve checks
 that a peer holds the rank; a miss is not checked, so a drifted count
-is caught at the next tick.  Pending-interest state collapses
-within one processed chain, so the PIT bookkeeping runs only under
-``debug``, where it feeds the single-forward and flow conservation
-checks.
+is caught at the next tick.  The final check also asks that every
+request was answered at some tier.
 """
 
 from __future__ import annotations
@@ -125,14 +124,10 @@ def _offer(store: dict, cap: int, rank: int, weight: int) -> None:
         store[rank] = weight
 
 
-def _walks(path: tuple, traced: bool) -> tuple:
-    """Per tier slot, what a request from ``path[0]`` served there
-    implies: with ``traced``, its trace records' text split at the
-    content-name holes, each record ending in a ``"\\0"`` where the
-    shared ``_EVENT_TAIL`` goes (else None); the nodes below the serving
-    one, each of which forwarded the request and so has it pending
-    until the data passes back down; and the nodes whose stores the
-    data may have reached."""
+def _walks(path: tuple) -> tuple:
+    """Per tier slot, the trace records of a request from ``path[0]``
+    served there, as their text split at the content-name holes, each
+    record ending in a ``"\\0"`` where the shared ``_EVENT_TAIL`` goes."""
     walks = []
     for depth, outcome in _SERVING:
         below = path[:depth]
@@ -142,11 +137,10 @@ def _walks(path: tuple, traced: bool) -> tuple:
             + [("interest", path[depth], outcome)]
             + [("data", node, arrival) for node in reversed(below)]
         )
-        pieces = tuple("".join(
+        walks.append(tuple("".join(
             _EVENT_FIELDS % (kind, "%s", node, result) + "\0"
             for kind, node, result in records
-        ).split("%s")) if traced else None
-        walks.append((pieces, below, path[:depth + 1] if depth else ()))
+        ).split("%s")))
     return tuple(walks)
 
 
@@ -220,7 +214,6 @@ class Simulation:
         # rate-only rule); rate-hop scores an entry rate * weight, and
         # FIFO/LRU only need dict order.
         self._cs: list[dict] = [{} for _ in range(n)]
-        self._pit: list[set] = [set() for _ in range(n)]
         # Each node maps every rank it has seen to [smoothed rate, window
         # count]; only rate-hop writes here.  A window count creates the
         # entry before any rate bump or admission at that node reads it.
@@ -296,11 +289,12 @@ class Simulation:
             }
             self._replay = Simulation._replay_plain
         self._walks = {
-            fue: _walks(path, trace is not None)
-            for fue, path in paths.items()
-        } if debug or trace is not None else None
-        # Under ``debug``, each device's peers' stores, against which a
-        # D2D serve from the holder count is checked.
+            fue: _walks(path) for fue, path in paths.items()
+        } if trace is not None else None
+        # Under ``debug``, each device's path, whose stores a request's
+        # data reached up to the serving depth, and its peers' stores,
+        # against which a D2D serve from the holder count is checked.
+        self._paths = paths if debug else None
         self._peers = {
             fue: tuple(cs[peer] for peer in topo.children(fap) if peer != fue)
             for fue, (_, fap, _, _) in paths.items()
@@ -488,7 +482,7 @@ class Simulation:
                 if debug:
                     self._observed(fue, rank, slot)
                 if emit is not None:
-                    emit(names[rank].join(walks[fue][slot][0])
+                    emit(names[rank].join(walks[fue][slot])
                          .replace("\0", step_tail % self.seq))
 
     def _replay_ratehop(self, rows, tau: float) -> None:
@@ -577,7 +571,7 @@ class Simulation:
                 if debug:
                     self._observed(fue, rank, slot)
                 if emit is not None:
-                    emit(names[rank].join(walks[fue][slot][0])
+                    emit(names[rank].join(walks[fue][slot])
                          .replace("\0", step_tail % self.seq))
 
     def _admit(self, node: int, rank: int, weight: int) -> None:
@@ -621,24 +615,14 @@ class Simulation:
         self._min_score[node] = low
 
     def _observed(self, fue: int, rank: int, slot: int) -> None:
-        """The debug checks over the walk that serving ``rank`` to
-        ``fue`` at tier ``slot`` implies: open a pending interest at
-        each forwarding node (refusing a second), consume each as the
-        data passes back down and check the stores the data reached.
-        Under rate-hop, a D2D serve also checks that a peer's store
-        holds ``rank``."""
-        _, forwards, reached = self._walks[fue][slot]
-        for node in forwards:
-            pit = self._pit[node]
-            if rank in pit:
-                raise InvariantViolation(
-                    f"node {node} forwarded {self.catalog.names[rank]} "
-                    f"twice while pending (event {self.seq})"
-                )
-            pit.add(rank)
-        for node in reversed(forwards):
-            self._consume(node, rank)
-        self._check_capacity(reached)
+        """The debug checks after serving ``rank`` to ``fue`` at tier
+        ``slot``: every store from the device up to the serving node,
+        which the data may have reached, is within its capacity (none,
+        for an own-store hit).  Under rate-hop, a D2D serve also checks
+        that a peer's store holds ``rank``."""
+        depth = _SERVING[slot][0]
+        if depth:
+            self._check_capacity(self._paths[fue][:depth + 1])
         if slot == 1 and self._peers is not None:
             for store in self._peers[fue]:
                 if rank in store:
@@ -651,15 +635,6 @@ class Simulation:
                 )
 
     # -- debug instrumentation ----------------------------------------
-
-    def _consume(self, node: int, rank: int) -> None:
-        pit = self._pit[node]
-        if rank not in pit:
-            raise InvariantViolation(
-                f"unsolicited data for {self.catalog.names[rank]} at node "
-                f"{node} (event {self.seq})"
-            )
-        pit.discard(rank)
 
     def _check_capacity(self, nodes) -> None:
         cs = self._cs
@@ -690,12 +665,6 @@ class Simulation:
                 )
 
     def _check_final(self) -> None:
-        for node, pit in enumerate(self._pit):
-            if pit:
-                raise InvariantViolation(
-                    f"pending interests left at node {node}: "
-                    f"{sorted(pit)}"
-                )
         answered = sum(self._hits)
         if answered != self._n:
             raise InvariantViolation(

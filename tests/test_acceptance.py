@@ -123,7 +123,7 @@ def test_criterion_4_runtime_invariants_hold_over_the_grid(
     assert debug_grid == rows
     print(
         "PASS criterion 4: full grid re-run with consistency checks on "
-        "(store capacities, single-forward, flow conservation) raised "
+        "(store capacities, holder counts, flow conservation) raised "
         "nothing and matched the fast rows: debug instrumentation "
         "changed no metric"
     )

@@ -562,6 +562,25 @@ def test_sweep_refuses_a_csv_path_among_its_charts(
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["s.yaml", "sub"]
 
 
+def test_sweep_refuses_a_csv_path_that_links_to_a_chart(
+    tmp_path, capsys, monkeypatch
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(engine, "sweep", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "s.yaml", SWEEP_YAML)
+    (tmp_path / "m.csv").symlink_to("avg_hops_d2d_off.svg")
+    assert main([
+        "sweep", cfg, "--fues", "2", "--policies", "fifo", "--d2d", "off",
+        "--plot", "--output", "m.csv",
+    ]) == EXIT_CONFIG
+    assert ("--plot chart avg_hops_d2d_off.svg is the metrics CSV path "
+            "m.csv") in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "s.yaml"]
+
+
 @pytest.mark.parametrize("seeds,trace_name,csv_name", [
     ("[0]", "x.csv", "x.csv"),
     ("[0]", "x.csv", "sub/../x.csv"),
