@@ -10,10 +10,13 @@ so popular content placed far from the core scores highest.
 This module provides the placement evaluator, an exact solver for
 small instances, and a zero-one linearization of the objective with an
 exhaustive verifier that it is exact.  The objective sums over
-contents, coupled only by store capacities, so solver and verifier
-tabulate each content's best per load on the binding stores and walk
-the contents keeping the best per load vector, a multiple-choice
-knapsack.  Placements are ``{(name, node): 0|1}``; missing keys mean 0.
+contents, coupled only by store capacities.  The solver tabulates each
+content's best per load on the binding stores and walks the contents
+keeping the best per load vector, a multiple-choice knapsack.  The
+verifier walks each block of contents that the program's terms tie
+together once, every assignment of it, and combines the blocks' tables
+the same way.  Placements are ``{(name, node): 0|1}``; missing keys
+mean 0.
 """
 
 from __future__ import annotations
@@ -413,6 +416,10 @@ class VerificationReport:
         return self.ok
 
 
+# Relative tolerance of every comparison the verifier makes.
+_TOL = 1e-9
+
+
 def _index_program(program: LinearizedProgram):
     """Read the program once into position-based form.
 
@@ -422,8 +429,11 @@ def _index_program(program: LinearizedProgram):
     own single factor and has rows None; an auxiliary's rows are its
     own constraints that bound it on the side its coefficient pushes it
     to, each as (its coefficient, rhs, [(coefficient, x position)]).
-    Also returns the rows that hold no auxiliary, each as
-    (rhs, [(coefficient, x position)]).
+    Also returns the rows that hold no auxiliary, each as (constraint
+    number, limit, [(coefficient, x position)]), the limit being the
+    rhs within the verifier's tolerance.  A coefficient or rhs
+    that is not finite, or an objective whose absolute coefficients sum
+    past the float range, raises ``ValueError``.
     """
     pos = {var: i for i, var in enumerate(program.x_vars)}
 
@@ -432,16 +442,29 @@ def _index_program(program: LinearizedProgram):
             raise ValueError(f"{where} names unknown variable {var!r}")
         return pos[var]
 
+    def finite(value: float, what: str) -> None:
+        if not math.isfinite(value):
+            raise ValueError(f"{what} is not finite ({value})")
+
+    for var, coeff in program.objective.items():
+        finite(coeff, f"the objective coefficient of {var!r}")
+    finite(_total(map(abs, program.objective.values())),
+           "the objective's absolute coefficient sum")
+
     aux_rows: dict[str, list] = {z: [] for z in program.monomials}
     plain_rows = []
     for n, con in enumerate(program.constraints, start=1):
+        finite(con.rhs, f"constraint {n}'s rhs")
+        for var, c in con.coeffs.items():
+            finite(c, f"constraint {n}'s coefficient of {var!r}")
         own = [(var, c) for var, c in con.coeffs.items()
                if c and var in aux_rows]
         xs = [(c, position(var, f"constraint {n}"))
               for var, c in con.coeffs.items()
               if c and var not in aux_rows]
         if not own:
-            plain_rows.append((con.rhs, xs))
+            limit = con.rhs + _TOL * max(1.0, abs(con.rhs))
+            plain_rows.append((n, limit, xs))
         elif len(own) == 1:
             (z, cz), = own
             aux_rows[z].append((cz, con.rhs, xs))
@@ -465,13 +488,6 @@ def _index_program(program: LinearizedProgram):
     return terms, plain_rows
 
 
-# Relative tolerance of every comparison the verifier makes.
-_TOL = 1e-9
-# The most local assignments of one content that the content-wise
-# verifier tabulates; one content over more than 16 stores is scanned.
-_STATE_LIMIT = 2 ** 16
-
-
 def verify_linearization(
     topo: Topology,
     demand: DemandSpec,
@@ -481,28 +497,54 @@ def verify_linearization(
 
     Three checks over every binary assignment of the x variables: the
     linear objective with each auxiliary set to its defining product
-    must equal the direct polynomial objective; the program's rows
+    must equal the direct objective, within 1e-9 times the largest of
+    1, the direct value and the pinned summands' magnitudes; the rows
     without an auxiliary must admit exactly the assignments that fit
-    every store's capacity; and the maxima over feasible assignments
-    must agree when each auxiliary instead ranges freely within its own
-    constraints.  Values are compared within a relative 1e-9.
+    every store; and the maxima over those assignments must agree
+    within a relative 1e-9 when each auxiliary instead ranges freely
+    within its own rows.
 
-    The checks are made content by content when that proves they pass
-    (``_verify_by_content``).  Otherwise, and so for every program that
-    fails, every assignment is scanned in product order, and a falsy
-    report names the first counterexample.  ``checked`` counts every
-    assignment either way.
+    The rows are checked where a disagreement would first show
+    (``_row_failures``, which refuses rows it cannot read so).
+    The objective is checked block by block (``_blocks``): both
+    objectives are sums over blocks, so each block's assignments are
+    walked once with the others at 0 (``_tabulate``), and the optima
+    combine the blocks' tables over store loads.  A falsy report names
+    the first counterexample in product order, and ``checked`` is its
+    position in that order, counting from 1, or 2^n.
     """
-    task = _verification(topo, demand, program)
-    report = _verify_by_content(*task)
-    return report if report is not None else _scan(*task)
+    walk, x_vars, keys, terms, limits, stores = _verification(
+        topo, demand, program)
+    # At each assignment the pointwise check comes first.
+    failures = [(bits, _pinned_miss(walk, keys, terms, bits)[1] or message)
+                for bits, message in _row_failures(
+                    limits, stores, len(x_vars))]
+    binding = [(cap, idx) for cap, idx in stores if cap < len(idx)]
+    tables = []
+    for where, own in _blocks(keys, terms):
+        table, failure = _tabulate(walk, keys, where, own, binding)
+        tables.append(table)
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        bits, message = min(failures)  # bit lists sort in product order
+        position = sum(bit << k for k, bit in enumerate(reversed(bits)))
+        return VerificationReport(
+            False, position + 1, message, dict(zip(x_vars, bits)))
+
+    # A program without variables or terms has no blocks and optima 0.
+    best_direct, best_linear = _best_feasible(
+        tables or [{(): (0.0, 0.0)}], [cap for cap, _ in binding])
+    ok = abs(best_linear - best_direct) <= _TOL * max(1.0, abs(best_direct))
+    return VerificationReport(ok, 2 ** len(x_vars), "" if ok else (
+        f"optimum mismatch: linear {best_linear!r} vs direct "
+        f"{best_direct!r}"))
 
 
 def _verification(topo, demand, program):
-    """Validate and read what both verifiers need: the tree walk, the
-    x variables with their (content, node) keys, the indexed objective
-    terms, each row without an auxiliary as (limit, [(coefficient, x
-    position)]), and each store as (capacity, [x positions])."""
+    """Validate and read what the verifier needs: the tree walk, the x
+    variables with their (content, node) keys, the indexed objective
+    terms and plain rows, and each store as (capacity, [x positions])."""
     walk = _tree_walk(topo, demand)
     if program is None:
         program = _expand(topo, walk, False)
@@ -514,8 +556,7 @@ def _verification(topo, demand, program):
             f"exceeding the exhaustive-search limit of "
             f"{ENUMERATION_LIMIT}"
         )
-    terms, plain_rows = _index_program(program)
-    limits = [(rhs + _TOL * max(1.0, abs(rhs)), xs) for rhs, xs in plain_rows]
+    terms, limits = _index_program(program)
     keys = [program.x_key[var] for var in program.x_vars]
     held: dict[NodeId, list[int]] = {}
     for i, (_, node) in enumerate(keys):
@@ -566,202 +607,110 @@ def _free(terms, bits) -> list[float]:
     return parts
 
 
-def _scan(walk, x_vars, keys, terms, limits, stores) -> VerificationReport:
-    """Check every assignment in product order; a falsy report names
-    the first counterexample."""
-    best_direct = None
-    best_linear = None
-    checked = 0
-    for bits in itertools.product((0, 1), repeat=len(x_vars)):
-        direct = _objective(
-            walk, dict.fromkeys(itertools.compress(keys, bits), 1)
-        )
-        linear = _total(_pinned(terms, bits))
-        checked += 1
-        if abs(linear - direct) > _TOL * max(1.0, abs(direct)):
-            return VerificationReport(
-                False,
-                checked,
-                f"pinned objective {linear!r} != direct {direct!r}",
-                dict(zip(x_vars, bits)),
-            )
-
-        feasible = all(
-            sum([bits[i] for i in idx]) <= cap for cap, idx in stores
-        )
-        admitted = all(
-            sum([c * bits[i] for c, i in xs]) <= limit for limit, xs in limits
-        )
-        if admitted != feasible:
-            return VerificationReport(
-                False,
-                checked,
-                "program rows "
-                + ("admit an assignment over" if admitted
-                   else "reject an assignment within")
-                + " the store capacities",
-                dict(zip(x_vars, bits)),
-            )
-        if not feasible:
-            continue
-        free = _total(_free(terms, bits))
-        if best_direct is None or direct > best_direct:
-            best_direct = direct
-        if best_linear is None or free > best_linear:
-            best_linear = free
-
-    # The all-zero assignment comes first and fits every store: both are set.
-    if abs(best_linear - best_direct) > _TOL * max(1.0, abs(best_direct)):
-        return VerificationReport(
-            False,
-            checked,
-            f"optimum mismatch: linear {best_linear!r} vs direct "
-            f"{best_direct!r}",
-        )
-    return VerificationReport(True, checked)
+def _pinned_miss(walk, keys, terms, bits):
+    """The direct objective at ``bits``, and a message if the pinned
+    linear value misses it, else "".  The pinned sum rounds with its
+    summands, which stay large where copies cancel to a direct 0."""
+    direct = _objective(
+        walk, dict.fromkeys(itertools.compress(keys, bits), 1))
+    pinned = _pinned(terms, bits)
+    linear = _total(pinned)
+    if abs(linear - direct) > _TOL * max(
+            1.0, direct, _total(map(abs, pinned))):
+        return direct, f"pinned objective {linear!r} != direct {direct!r}"
+    return direct, ""
 
 
-def _verify_by_content(
-    walk, x_vars, keys, terms, limits, stores
-) -> VerificationReport | None:
-    """The scan's passing report, when the checks can be proved content
-    by content; None otherwise, for the scan to decide.
+def _row_failures(limits, stores, width):
+    """Assignments at which the rows without an auxiliary disagree with
+    the store capacities, as (bits, message), among them the first such
+    assignment in product order if there is one.
 
-    Each objective term, with the rows that bound it, must read one
-    content's variables, and the rows without an auxiliary must pass
-    ``_rows_match_stores``; then the rows admit exactly the feasible
-    assignments.  Each content's local assignments are tabulated once
-    (``_tabulate``).  The pinned check holds at every assignment if the
-    per-content gaps sum within the tolerance, and ``_best_feasible``
-    walks the contents for both optima.
-
-    The sums here associate differently from the scan's, so every check
-    allows ``slack`` times the summands' magnitudes for the difference.
-    ``slack`` is 0 when every summand is a multiple of 1/grid and all
-    magnitudes stay below 2^52/grid, so that every sum is exact.
-    Otherwise a sum of k summands is within k * 2^-53 of exact,
-    relative to their magnitudes, and ``slack`` covers the scan's sums,
-    these and the sums across contents twice over.
+    Each row must repeat a store's capacity row (coefficient 1 on
+    exactly its variables), hold at every assignment (integral
+    coefficients, summed exactly, whose positive sum is within its
+    limit) or reject the empty assignment, else ``ValueError``.  Then
+    the first disagreement sets one store's last variables with the
+    other stores empty, and only those assignments are tried.
     """
-    local = _terms_by_content(keys, terms)
-    if not local or not _rows_match_stores(limits, stores):
-        return None
-    # Only a store with fewer places than variables can overfill, so
-    # only those loads are kept.
-    binding = [(cap, idx) for cap, idx in stores if cap < len(idx)]
-    tables, sizes, grid = [], [], 1
-    for where, own in local:
-        tabulated = (2 ** len(where) <= _STATE_LIMIT
-                     and _tabulate(walk, keys, where, own, binding))
-        if not tabulated:
-            return None
-        table, size, finest = tabulated
-        tables.append(table)
-        sizes.append(size)
-        grid = max(grid, finest)
-    # Sums over contents of each one's largest gap and magnitudes.
-    gap, pinned, direct, free = map(_total, zip(*sizes))
-
-    if grid <= 2 ** 52 / max(pinned + direct + free, 1.0):
-        slack = 0.0
-    else:
-        slack = (len(terms) + len(x_vars) + len(tables) + 2) * 2.0 ** -51
-    tol = _TOL * (1 - 1e-6)  # room for the rounding of these checks
-    if not gap + slack * (pinned + direct) <= tol:
-        return None
-    best_direct, best_linear = _best_feasible(
-        tables, [cap for cap, _ in binding])
-    miss = abs(best_linear - best_direct) + slack * (free + direct)
-    if not miss <= tol * max(1.0, abs(best_direct) - slack * direct):
-        return None
-    return VerificationReport(True, 2 ** len(x_vars))
+    stored = {tuple(idx) for _, idx in stores}
+    for n, limit, xs in limits:
+        repeat = (tuple(sorted(j for _, j in xs)) in stored
+                  and all(c == 1 for c, _ in xs))
+        holds = (all(float(c).is_integer() for c, _ in xs)
+                 and sum(abs(c) for c, _ in xs) <= 2 ** 53
+                 and sum(c for c, _ in xs if c > 0) <= limit)
+        if not (repeat or holds or limit < 0):
+            raise ValueError(
+                f"constraint {n} neither repeats a store's capacity row, "
+                "nor holds at every assignment, nor rejects the empty one"
+            )
+    failures = []
+    for cap, idx in stores or [(0, [])]:  # the empty assignment, at least
+        for load in range(len(idx) + 1):
+            ones = idx[len(idx) - load:]
+            bits = [int(i in ones) for i in range(width)]
+            admitted = all(sum([c * bits[i] for c, i in xs]) <= limit
+                           for _, limit, xs in limits)
+            if admitted != (load <= cap):  # the other stores are empty
+                failures.append((bits, "program rows " + (
+                    "admit an assignment over" if admitted else
+                    "reject an assignment within") + " the store capacities"))
+    return failures
 
 
-def _terms_by_content(keys, terms):
-    """Each content's x positions and objective terms, or None if a
-    term, with the rows that bound it, reads two contents or none."""
+def _blocks(keys, terms):
+    """The x positions grouped into blocks, each with its objective
+    terms in program order: two contents share a block when a term,
+    with the rows that bound it, reads both.  Terms that read no
+    variable make a block without positions."""
     owner = [name for name, _ in keys]
-    local: dict[str, tuple[list[int], list]] = {}
+    parent = {name: name for name in owner}
+
+    def root(name):
+        while parent[name] != name:
+            name = parent[name]
+        return name
+
+    reads = [[owner[j] for j in factors]
+             + [owner[j] for _, _, xs in side or () for _, j in xs]
+             for _, factors, side in terms]
+    for read in reads:
+        for name in read[1:]:
+            parent[root(name)] = root(read[0])
+    blocks: dict[str | None, tuple[list[int], list]] = {}
     for i, name in enumerate(owner):
-        local.setdefault(name, ([], []))[0].append(i)
-    for term in terms:
-        _, factors, side = term
-        touched = {owner[j] for j in factors}
-        for _, _, xs in side or ():
-            touched.update(owner[j] for _, j in xs)
-        if len(touched) != 1:
-            return None
-        local[touched.pop()][1].append(term)
-    return list(local.values())
-
-
-def _rows_match_stores(limits, stores) -> bool:
-    """Whether the rows without an auxiliary admit exactly the feasible
-    assignments, for a reason checked store by store: each row either
-    repeats a store's capacity row (coefficient 1 on exactly its
-    variables) or holds at every assignment (integral coefficients,
-    summed exactly, whose positive sum is within its limit), and at
-    each load of each store its repeats admit it exactly if it fits."""
-    repeats: dict[tuple[int, ...], list[float]] = {
-        tuple(idx): [] for _, idx in stores
-    }
-    for limit, xs in limits:
-        at = tuple(sorted(j for _, j in xs))
-        if at in repeats and all(c == 1 for c, _ in xs):
-            repeats[at].append(limit)
-        elif not (
-            all(float(c).is_integer() for c, _ in xs)
-            and sum(abs(c) for c, _ in xs) <= 2 ** 53
-            and sum(c for c, _ in xs if c > 0) <= limit
-        ):
-            return False
-    return all(
-        all(load <= limit for limit in repeats[tuple(idx)]) == (load <= cap)
-        for cap, idx in stores
-        for load in range(len(idx) + 1)
-    )
+        blocks.setdefault(root(name), ([], []))[0].append(i)
+    for term, read in zip(terms, reads):
+        at = root(read[0]) if read else None
+        blocks.setdefault(at, ([], []))[1].append(term)
+    return list(blocks.values())
 
 
 def _tabulate(walk, keys, where, terms, binding):
-    """Every assignment of one content's variables at ``where``, grouped
-    by its loads on the binding stores, keeping each group's best
-    direct and free value.  Also returns the largest pinned-direct gap
-    and summand magnitudes (pinned, direct, free) over the assignments,
-    and the grid of every summand; None if a value is not finite."""
+    """Walk every assignment of one block's x positions ``where`` in
+    product order, the other positions at 0, making the pointwise check
+    at each.  Returns the block's table, its best direct and free value
+    per load on the binding stores, and its first failure as (bits,
+    message), or None."""
+    walk = (sorted({keys[i][0] for i in where}), *walk[1:])
     store_of = {i: k for k, (_, idx) in enumerate(binding) for i in idx}
     bits = [0] * len(keys)
     table: dict[tuple[int, ...], tuple[float, float]] = {}
-    gap = pinned_most = direct_most = free_most = 0.0
-    grid = 1
     for choice in itertools.product((0, 1), repeat=len(where)):
         loads = [0] * len(binding)
         for i, bit in zip(where, choice):
             bits[i] = bit
             if i in store_of:
                 loads[store_of[i]] += bit
-        earned = _earnings(
-            walk, dict.fromkeys(itertools.compress(keys, bits), 1)
-        )
-        pinned = _pinned(terms, bits)
-        free = _free(terms, bits)
-        direct = _total(earned)
-        pinned_size = _total(map(abs, pinned))
-        free_size = _total(map(abs, free))
-        if not math.isfinite(pinned_size + direct + free_size):
-            return None
-        for value in itertools.chain(earned, pinned, free):
-            grid = max(grid, value.as_integer_ratio()[1])
-        gap = max(gap, abs(_total(pinned) - direct))
-        pinned_most = max(pinned_most, pinned_size)
-        direct_most = max(direct_most, direct)
-        free_most = max(free_most, free_size)
-        linear = _total(free)
+        direct, miss = _pinned_miss(walk, keys, terms, bits)
+        if miss:
+            return table, (bits, miss)
+        linear = _total(_free(terms, bits))
         key = tuple(loads)
-        best = table.get(key)
-        table[key] = (direct, linear) if best is None else (
-            max(best[0], direct), max(best[1], linear)
-        )
-    return table, (gap, pinned_most, direct_most, free_most), grid
+        best = table.get(key, (direct, linear))
+        table[key] = (max(best[0], direct), max(best[1], linear))
+    return table, None
 
 
 def _grow(states, steps, caps, join, pick):

@@ -961,6 +961,23 @@ def test_oracle_verifies_the_linearization(tmp_path, capsys):
     assert "linearization over 1024 assignments: exact" in out
 
 
+def test_oracle_verifies_copies_that_cancel_at_large_rates(tmp_path, capsys):
+    # Where copies absorb all demand the direct value is 0, but the
+    # pinned sum rounds with summands near 1e12.
+    cfg = write(tmp_path, "o.yaml", ORACLE_YAML.replace(
+        "n_faps: 2\n      fues_per_fap: 1", "n_faps: 1\n      fues_per_fap: 2"
+    ).replace("{bbu: 2, fap: 1, fue: 0}", "{bbu: 1, fap: 1, fue: 1}"))
+    demand = write(tmp_path, "demand.csv", f"""\
+        name,fue,rate
+        c1,fue1,{1e12 / 7!r}
+        c1,fue2,{2e12 / 7!r}
+        """)
+    rc = main(["oracle", cfg, "--demand", demand, "--verify-linearization"])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out
+    assert "linearization over 16 assignments: exact" in out
+
+
 def test_oracle_writes_the_lp_text(tmp_path):
     cfg, demand = oracle_setup(tmp_path)
     lp = tmp_path / "program.lp"
